@@ -47,18 +47,14 @@ class BasisState:
         g = self.gram
         return 2 * sum(abs(g[i][j]) for j in range(len(g)) if j != i) + abs(g[i][i])
 
-    def replace(self, idx, vec, tvec, dots=None):
+    def replace(self, idx, vec, tvec, dots):
         """Replace row idx (and its transform row); update gram, r, s.
 
-        dots, when given, must be the scalar products of vec with every
-        current row except idx plus vec·vec at position idx; callers that
-        derive the new row from existing ones get these from gram for free.
+        dots must be the scalar products of vec with every current row
+        except idx plus vec·vec at position idx; callers derive the new row
+        from existing ones and so read these off gram.
         """
         n = len(self.rows)
-        if dots is None:
-            dots = [0] * n
-            for j in range(n):
-                dots[j] = dot(vec, vec) if j == idx else dot(vec, self.rows[j])
         self.r -= self._row_weight(idx)
         self.s -= self.gram[idx][idx]
         self.rows[idx] = list(vec)

@@ -144,26 +144,48 @@ def report_document(report: ReductionReport, basis, path=None) -> dict:
     }
 
 
+#: keys the schema's reduce document and its options object require;
+#: checked by hand because the package has no runtime dependencies
+REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
+               "options", "r_in", "r_out", "s_in", "s_out", "cycles",
+               "r_history", "pre_pass_applied", "max_cycles_exhausted",
+               "transform", "timings", "verified")
+OPTION_KEYS = ("method", "lagrange", "simplification", "pre_hyperplanar",
+               "max_cycles")
+
+
 def report_from_document(doc) -> ReductionReport:
-    """Rebuild the report fields cmd_verify needs from a JSON document."""
-    opts = doc.get("options", {})
+    """Rebuild a reduction report from a reduce command's JSON document.
+
+    Raises ValueError unless doc is a cubify-report/1 reduce document with
+    every required key; nothing missing is filled in with a default.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("report is not a JSON object")
+    if doc.get("schema") != SCHEMA:
+        raise ValueError("schema is %r, expected %r"
+                         % (doc.get("schema"), SCHEMA))
+    if doc.get("command") != "reduce":
+        raise ValueError("command is %r, expected 'reduce'"
+                         % (doc.get("command"),))
+    missing = [k for k in REDUCE_KEYS if k not in doc]
+    opts = doc.get("options")
+    if isinstance(opts, dict):
+        missing += ["options." + k for k in OPTION_KEYS if k not in opts]
+    if missing:
+        raise ValueError("missing required keys: " + ", ".join(missing))
     return ReductionReport(
         r_in=_unjint(doc["r_in"]), r_out=_unjint(doc["r_out"]),
         s_in=_unjint(doc["s_in"]), s_out=_unjint(doc["s_out"]),
-        cycles=doc.get("cycles", 0),
-        matrix_class=MatrixClass(doc.get("classification", "random")),
-        options=CubifyOptions(
-            method=opts.get("method", 1),
-            lagrange=opts.get("lagrange", "insert"),
-            simplification=opts.get("simplification", "insert"),
-            pre_hyperplanar=opts.get("pre_hyperplanar", False),
-            max_cycles=opts.get("max_cycles", 1000)),
-        auto=doc.get("auto", True),
+        cycles=doc["cycles"],
+        matrix_class=MatrixClass(doc["classification"]),
+        options=CubifyOptions(**{k: opts[k] for k in OPTION_KEYS}),
+        auto=doc["auto"],
         transform=_unjmatrix(doc["transform"]),
-        timings=doc.get("timings", {}),
-        r_history=[_unjint(r) for r in doc.get("r_history", [])],
-        pre_pass_applied=doc.get("pre_pass_applied", False),
-        max_cycles_exhausted=doc.get("max_cycles_exhausted", False))
+        timings=doc["timings"],
+        r_history=[_unjint(r) for r in doc["r_history"]],
+        pre_pass_applied=doc["pre_pass_applied"],
+        max_cycles_exhausted=doc["max_cycles_exhausted"])
 
 
 def _emit(doc, as_json):

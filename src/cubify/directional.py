@@ -69,17 +69,20 @@ def _lagrange(state, m, variant):
                 if variant is Variant.APPEND:
                     # drop both, append the remainder then the divisor: after
                     # the permute the divisor already sits last, the slot
-                    # before it takes the remainder
+                    # before it (old row v) takes the remainder
                     order = [t for t in range(m) if t not in (u, v)] + [v, u]
-                    state.permute(order + list(range(m, n)))
-                    state.replace(m - 2, rvec, rtvec)
+                    order += range(m, n)
+                    state.permute(order)
+                    state.replace(m - 2, rvec, rtvec, [dots[t] for t in order])
+                elif rr <= state.gram[u][u]:
+                    # the remainder takes the divisor's slot, the divisor
+                    # moves to v: swap the two, then replace slot u
+                    order = list(range(n))
+                    order[u], order[v] = v, u
+                    state.permute(order)
+                    state.replace(u, rvec, rtvec, [dots[t] for t in order])
                 else:
-                    if rr <= state.gram[u][u]:
-                        old_u, old_ut = state.rows[u], state.trans[u]
-                        state.replace(u, rvec, rtvec)
-                        state.replace(v, old_u, old_ut)
-                    else:
-                        state.replace(v, rvec, rtvec, dots)
+                    state.replace(v, rvec, rtvec, dots)
                 changed = True
 
 
@@ -119,16 +122,16 @@ def _simplify(state, variant):
                     target = v
                 else:
                     continue
+                if target == u:
+                    dots[u] = rr
+                    dots[v] = g[v][v] - s * g[u][v]
                 rvec, rtvec = _combined_row(state, v, u, s)
                 if variant is Variant.APPEND:
                     order = [t for t in range(n) if t != target] + [target]
                     state.permute(order)
-                    state.replace(n - 1, rvec, rtvec)
+                    state.replace(n - 1, rvec, rtvec, [dots[t] for t in order])
                 else:
-                    if target == v:
-                        state.replace(target, rvec, rtvec, dots)
-                    else:
-                        state.replace(target, rvec, rtvec)
+                    state.replace(target, rvec, rtvec, dots)
                     state.sort_by_norm()
                 changed = True
 

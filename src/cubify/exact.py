@@ -164,6 +164,46 @@ def _round_ratio(num: int, den: int) -> int:
     return fl + (fl & 1)
 
 
+class _Singular(Exception):
+    pass
+
+
+def _eliminate(aug, n):
+    """Fraction-free (Bareiss) forward elimination over the first n columns.
+
+    Works in place on the n rows of aug, which may carry extra right-hand
+    columns.  A row moves only when its pivot vanishes, so a positive
+    definite matrix keeps its row order.  Afterwards aug[n-1][n-1] is the
+    determinant of the leading n*n block times the returned sign (+1 or -1,
+    the parity of the row swaps).  Raises _Singular when that block is
+    singular.
+    """
+    w = len(aug[0]) if n else 0
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if aug[k][k] == 0:
+            for i in range(k + 1, n):
+                if aug[i][k]:
+                    aug[k], aug[i] = aug[i], aug[k]
+                    sign = -sign
+                    break
+            else:
+                raise _Singular
+        row_k = aug[k]
+        piv = row_k[k]
+        for i in range(k + 1, n):
+            row_i = aug[i]
+            f = row_i[k]
+            for j in range(k + 1, w):
+                q, rem = divmod(piv * row_i[j] - f * row_k[j], prev)
+                assert rem == 0
+                row_i[j] = q
+            row_i[k] = 0
+        prev = piv
+    return sign
+
+
 def det(matrix) -> int:
     """Determinant of a square integer matrix, by fraction-free elimination."""
     m = [[_int(x) for x in row] for row in matrix]
@@ -171,71 +211,52 @@ def det(matrix) -> int:
     for row in m:
         if len(row) != n:
             raise DimensionMismatchError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            for j in range(k + 1, n):
-                q, rem = divmod(piv * m[i][j] - f * m[k][j], prev)
-                assert rem == 0
-                m[i][j] = q
-            m[i][k] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+    try:
+        sign = _eliminate(m, n)
+    except _Singular:
+        return 0
+    return sign * m[n - 1][n - 1] if n else 1
 
 
-class _Singular(Exception):
-    pass
+def _solve_fraction_free(a, b):
+    """Solve a·X = b over the integers: returns (d, nums) with X = nums / d.
+
+    a is n*n ints, b is n*m ints.  Bareiss elimination, then fraction-free
+    back substitution.  d is the last pivot, +-det(a), and positive whenever
+    a is positive definite; by Cramer's rule every d·X[i][c] is an integer,
+    so each division in the back substitution is exact.  Raises _Singular
+    when a has no inverse.
+    """
+    n = len(a)
+    if not n:
+        return 1, []
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    _eliminate(aug, n)
+    d = aug[n - 1][n - 1]
+    nums = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        piv = row[i]
+        out = []
+        for c in range(n, len(row)):
+            s = d * row[c]
+            for j in range(i + 1, n):
+                s -= row[j] * nums[j][c - n]
+            q, rem = divmod(s, piv)
+            assert rem == 0
+            out.append(q)
+        nums[i] = out
+    return d, nums
 
 
 def _solve_exact(a, b):
     """Solve a·X = b exactly; a is n*n ints, b is n*m ints.
 
     Returns X as a list of n rows of Fractions.  Raises _Singular when a has
-    no inverse.  Fraction-free elimination with row pivoting, then rational
-    back-substitution.
+    no inverse.
     """
-    n = len(a)
-    m = len(b[0]) if n else 0
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    w = n + m
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            for i in range(k + 1, n):
-                if aug[i][k]:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    break
-            else:
-                raise _Singular
-        piv = aug[k][k]
-        for i in range(k + 1, n):
-            f = aug[i][k]
-            for j in range(k + 1, w):
-                q, rem = divmod(piv * aug[i][j] - f * aug[k][j], prev)
-                assert rem == 0
-                aug[i][j] = q
-            aug[i][k] = 0
-        prev = piv
-    xs = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        piv = aug[i][i]
-        for col in range(m):
-            s = Fraction(aug[i][n + col])
-            for j in range(i + 1, n):
-                s -= aug[i][j] * xs[j][col]
-            xs[i][col] = s / piv
-    return xs
+    d, nums = _solve_fraction_free(a, b)
+    return [[Fraction(x, d) for x in row] for row in nums]
 
 
 def hyperplane_normal(sub):

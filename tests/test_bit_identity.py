@@ -1,0 +1,47 @@
+"""Pinned output digests: refactors of the reduction must not change results.
+
+Each digest is the SHA-256 of repr((reduced rows, transform, r_history)) for
+cubify(b) with automatic options.  The inputs cover every auto option set
+the classifier picks on them: het20 (pre-hyperplanar pass, insert
+variants), full and columnar (0, 100) draws (method 2, append variants) and
+a 300-digit columnar draw (method 1, insert variants).  A digest changes
+only when the reduction takes a different path, so a change here needs a
+stated reason, not an updated constant.
+"""
+
+import hashlib
+
+import pytest
+
+from cubify import GeneratorSpec, cubify, generate
+from cubify.cli import load_matrix
+
+from _helpers import DATA
+
+PINNED = {
+    "het20": "5e7ff74bd48742b0256940232ef00b70580565ed5f8a3e8df07567445603dc0e",
+    "full-5": "be2c7f02892f133193740cf4316fae669a5a535d340640f3a506795391aee536",
+    "full-10": "dbf9f6d587b050e4f6aec92e4f222f05338b2ba39d5eff992689cc51ad5fda11",
+    "full-12": "1a72e7a001361eaa5795890a3238d7e2fa1938a58196c1578cc70c3ce543b6b0",
+    "columnar-5": "56b588193bbd7c639fbbbafae57900170f1036de16aae0bd9e3de8a13964d702",
+    "columnar-10": "6b4daeac893638d7db526aa6f8f2a563c7b801020435b1f5113b769f67919a93",
+    "columnar-12": "174048f75e705a6701c59c1612466aa3abb8df101db5498c8c34385a986b98bc",
+    "columnar-4-bigint": "0ad15bea0b381611738f5c5cd9051d711e0086bc04ae7f070aa9a0cbd7818923",
+}
+
+
+def _input(name):
+    if name == "het20":
+        return load_matrix(DATA / "heterogeneous_20x20.txt")
+    if name == "columnar-4-bigint":
+        return generate(GeneratorSpec("columnar", 4, (10 ** 299, 10 ** 300 - 1),
+                                      seed=4))
+    family, n = name.split("-")
+    return generate(GeneratorSpec(family, int(n), (0, 100), seed=int(n)))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cubify_output_digest_is_pinned(name):
+    reduced, report = cubify(_input(name))
+    text = repr((reduced.rows, report.transform, tuple(report.r_history)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]

@@ -8,9 +8,10 @@ import pytest
 
 from conftest import B_EXAMPLE
 from cubify import Basis, metric_tensor, rhombicity
-from cubify.cli import (MatrixParseError, _jint, _unjint, format_matrix,
-                        load_matrix, main, matrix_digest, parse_matrix_text,
-                        report_document, report_from_document)
+from cubify.cli import (OPTION_KEYS, REDUCE_KEYS, MatrixParseError, _jint,
+                        _unjint, format_matrix, load_matrix, main,
+                        matrix_digest, parse_matrix_text, report_document,
+                        report_from_document)
 from cubify.cubifier import cubify
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schemas" / "cubify-report-1.schema.json"
@@ -260,3 +261,49 @@ def test_verify_malformed_report(tmp_path, capsys):
     in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
     Path(rep_path).write_text("{not json")
     assert main(["verify", in_path, out_path, rep_path]) == 1
+
+
+def test_required_keys_match_the_schema():
+    reduce_doc = SCHEMA["definitions"]["reduce"]
+    assert set(REDUCE_KEYS) == set(reduce_doc["required"])
+    assert set(OPTION_KEYS) == set(SCHEMA["definitions"]["options"]["required"])
+
+
+def _verify_edited_report(tmp_path, capsys, edit):
+    in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
+    doc = json.loads(Path(rep_path).read_text())
+    Path(rep_path).write_text(json.dumps(edit(doc)))
+    code = main(["verify", in_path, out_path, rep_path])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [("schema", "cubify-report/2"),
+                                        ("command", "compare")])
+def test_verify_rejects_foreign_report(tmp_path, capsys, key, value):
+    code, cap = _verify_edited_report(tmp_path, capsys,
+                                      lambda d: {**d, key: value})
+    assert code == 1
+    assert "malformed report" in cap.err and repr(value) in cap.err
+
+
+@pytest.mark.parametrize(
+    "key", SCHEMA["definitions"]["reduce"]["required"]
+    + ["options." + k for k in SCHEMA["definitions"]["options"]["required"]])
+def test_verify_rejects_report_missing_a_required_key(tmp_path, capsys, key):
+    def drop(doc):
+        outer, _, inner = key.partition(".")
+        if inner:
+            del doc[outer][inner]
+        else:
+            del doc[outer]
+        return doc
+
+    code, cap = _verify_edited_report(tmp_path, capsys, drop)
+    assert code == 1
+    assert "malformed report" in cap.err
+
+
+def test_verify_rejects_non_object_report(tmp_path, capsys):
+    code, cap = _verify_edited_report(tmp_path, capsys, lambda d: [d])
+    assert code == 1
+    assert "not a JSON object" in cap.err

@@ -10,7 +10,7 @@ from cubify import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     hyperplane_normal, lattice_equal, metric_tensor,
                     nearest_int, norm_sum, rhombicity, solve_in_sublattice,
                     sort_by_norm)
-from cubify.exact import _round_ratio
+from cubify.exact import _round_ratio, _Singular, _solve_fraction_free
 
 from conftest import B_EXAMPLE, B_EXAMPLE_REDUCED
 
@@ -206,6 +206,27 @@ def test_det_against_cofactor_expansion():
         n = rng.randrange(1, 6)
         m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert det(m) == cofactor_det(m)
+
+
+def test_solve_fraction_free_with_row_swaps():
+    # sparse draws often put a zero on the diagonal, forcing pivot swaps
+    rng = random.Random(43)
+    solved = 0
+    while solved < 60:
+        n = rng.randrange(1, 6)
+        a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+             for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)]
+        if det(a) == 0:
+            with pytest.raises(_Singular):
+                _solve_fraction_free(a, b)
+            continue
+        d, nums = _solve_fraction_free(a, b)
+        assert abs(d) == abs(det(a))
+        for i in range(n):
+            for c in range(2):
+                assert sum(a[i][j] * nums[j][c] for j in range(n)) == d * b[i][c]
+        solved += 1
 
 
 def test_lattice_equal_example():

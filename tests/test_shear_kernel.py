@@ -1,0 +1,108 @@
+"""The Gram-only shear kernel against the geometric oracle.
+
+The hyperplanar pass reads its shear coefficients off the metric tensor
+(round(-G_sub⁻¹·g_x) by a fraction-free solve).  The oracle builds the
+hyperplane normal, the rational gap to the perpendicular foot and solves
+for its sublattice coordinates from the row coordinates; both must round
+to the same integers, ties included.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
+                    nearest_int, solve_in_sublattice)
+from cubify._state import BasisState
+from cubify.directional import _lagrange
+from cubify.exact import _solve_fraction_free
+from cubify.hyperplanar import _shear_coeffs
+
+SMALL = st.integers(-20, 20)
+BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                st.integers(10 ** 100, 10 ** 120))
+ENTRIES = {"small": SMALL, "big": BIG, "mixed": st.one_of(SMALL, BIG)}
+
+
+def oracle(isolated, sub):
+    p = hyperplane_normal(sub)
+    gap = [Fraction(dot(p, isolated) * pc, dot(p, p)) - xc
+           for pc, xc in zip(p, isolated)]
+    cols = [[v[k] for v in sub] for k in range(len(isolated))]
+    return [nearest_int(c) for c in solve_in_sublattice(cols, gap)]
+
+
+def sub_gram(gram, m):
+    return [row[:m] for row in gram[:m]]
+
+
+@st.composite
+def bases(draw):
+    n = draw(st.integers(2, 8))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=bases(), data=st.data())
+def test_kernel_matches_geometric_oracle(rows, data):
+    n = len(rows)
+    m = n - 1
+    i = data.draw(st.integers(0, m), label="isolated")
+    state = BasisState(rows)
+    state.permute([t for t in range(n) if t != i] + [i])
+    if data.draw(st.booleans(), label="sublattice lagrange"):
+        state.sort_by_norm(upto=m)
+        _lagrange(state, m, data.draw(st.sampled_from(Variant), label="variant"))
+    assert _shear_coeffs(state.gram, m) == oracle(state.rows[m], state.rows[:m])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=bases())
+def test_solve_denominator_is_the_positive_gram_determinant(rows):
+    m = len(rows) - 1
+    gram = metric_tensor(rows)
+    d, nums = _solve_fraction_free(sub_gram(gram, m),
+                                   [[-gram[t][m]] for t in range(m)])
+    assert d == det(sub_gram(gram, m)) > 0
+    # nums / d solves G_sub·y = -g_x exactly
+    for a in range(m):
+        assert sum(gram[a][b] * nums[b][0] for b in range(m)) == -d * gram[a][m]
+
+
+@pytest.mark.parametrize("odd, expected", [(1, 0), (-1, 0), (3, -2), (-3, 2)])
+def test_exact_half_ties_go_to_the_even_neighbour(odd, expected):
+    # sublattice rows 2·e_k: G_sub = 4I and g_x = 2·odd, so each
+    # coefficient is -odd/2, an exact tie
+    rows = [[2, 0, 0], [0, 2, 0], [odd, odd, 1]]
+    gram = metric_tensor(rows)
+    assert _shear_coeffs(gram, 2) == [expected, expected]
+    assert oracle(rows[2], rows[:2]) == [expected, expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 8), data=st.data())
+def test_constructed_ties_under_unimodular_mixing(n, data):
+    # sublattice 2·scale·e_k mixed by row additions: the coordinates of the
+    # projection of an odd·scale isolated vector are halves or integers
+    m = n - 1
+    scale = data.draw(st.sampled_from((1, 10 ** 100 + 7)), label="scale")
+    sub = [[2 * scale if j == k else 0 for j in range(n)] for k in range(m)]
+    if m > 1:
+        pair = st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                        unique=True)
+        mixes = st.lists(st.tuples(pair, st.sampled_from((-1, 1))),
+                         max_size=2 * m)
+        for (a, b), k in data.draw(mixes, label="mixes"):
+            sub[a] = [x + k * y for x, y in zip(sub[a], sub[b])]
+    odd = st.integers(-4, 4).map(lambda t: 2 * t + 1)
+    isolated = [data.draw(odd, label="x") * scale for _ in range(m)] + [1]
+    gram = metric_tensor(sub + [isolated])
+    d, _ = _solve_fraction_free(sub_gram(gram, m),
+                                [[-gram[t][m]] for t in range(m)])
+    assert d > 0
+    assert _shear_coeffs(gram, m) == oracle(isolated, sub)
