@@ -4,16 +4,21 @@ Holds the current rows, the accumulated row transform (rows = trans · input)
 and the metric tensor, with rhombicity and norm sum kept in sync
 incrementally.  All pass internals mutate one of these instead of rebuilding
 bases, so each elementary step is O(N) or O(N^2) instead of O(N^3).
+
+The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
+metric tensor, and clears it when it ends.  Unimodular row operations leave
+det(G) unchanged, so adj stays integral over that one denominator; while it
+is set, combine_into, permute and the division steps carry it along.
 """
 
 from __future__ import annotations
 
-from .exact import dot
+from .exact import _adjugate, dot
 
 
 class BasisState:
 
-    __slots__ = ("rows", "trans", "gram", "r", "s")
+    __slots__ = ("rows", "trans", "gram", "r", "s", "adj")
 
     def __init__(self, rows, trans=None):
         self.rows = [list(r) for r in rows]
@@ -25,6 +30,7 @@ class BasisState:
                      for i in range(n)]
         self.r = sum(abs(x) for row in self.gram for x in row)
         self.s = sum(self.gram[i][i] for i in range(n))
+        self.adj = None
 
     def copy(self):
         c = BasisState.__new__(BasisState)
@@ -33,6 +39,7 @@ class BasisState:
         c.gram = [r[:] for r in self.gram]
         c.r = self.r
         c.s = self.s
+        c.adj = None if self.adj is None else [r[:] for r in self.adj]
         return c
 
     def adopt(self, other):
@@ -42,6 +49,7 @@ class BasisState:
         self.gram[:] = other.gram
         self.r = other.r
         self.s = other.s
+        self.adj = other.adj
 
     def _row_weight(self, i):
         g = self.gram
@@ -64,6 +72,22 @@ class BasisState:
             self.gram[j][idx] = dots[j]
         self.r += 2 * sum(abs(dots[j]) for j in range(n) if j != idx) + abs(dots[idx])
         self.s += dots[idx]
+
+    def carry_adj(self, idx, live):
+        """Update adj for rows[idx] += sum(c * rows[s] for c, s in live).
+
+        That step is B' = T·B with T⁻¹ = I - sum(c·E[idx][s]), and
+        adj(T·G·Tᵀ) = T⁻ᵀ·adj(G)·T⁻¹: row s takes -c times row idx, then
+        column s takes -c times column idx.  Row and column idx stay.
+        """
+        a = self.adj
+        top = a[idx]
+        for c, s in live:
+            a[s] = [x - c * y for x, y in zip(a[s], top)]
+        for row in a:
+            y = row[idx]
+            for c, s in live:
+                row[s] -= c * y
 
     def combine_into(self, idx, coeffs, srcs):
         """rows[idx] += sum(c * rows[s]); derived dots come from gram."""
@@ -89,19 +113,22 @@ class BasisState:
                 nn += c1 * c2 * g[s1][s2]
         dots[idx] = nn
         self.replace(idx, vec, tvec, dots)
+        if self.adj is not None:
+            self.carry_adj(idx, live)
 
     def permute(self, order):
         self.rows[:] = [self.rows[i] for i in order]
         self.trans[:] = [self.trans[i] for i in order]
         self.gram[:] = [[self.gram[i][j] for j in order] for i in order]
+        if self.adj is not None:
+            self.adj[:] = [[self.adj[i][j] for j in order] for i in order]
 
-    def sort_by_norm(self, upto=None):
-        """Stable sort of rows[:upto] by squared norm; r and s are unchanged."""
+    def sort_by_norm(self):
+        """Stable sort of the rows by squared norm; r and s are unchanged."""
         n = len(self.rows)
-        m = n if upto is None else upto
-        order = sorted(range(m), key=lambda i: self.gram[i][i])
-        if order != list(range(m)):
-            self.permute(order + list(range(m, n)))
+        order = sorted(range(n), key=lambda i: self.gram[i][i])
+        if order != list(range(n)):
+            self.permute(order)
 
     # -- checks used by tests and debug asserts --
 
@@ -111,4 +138,5 @@ class BasisState:
 
     def consistent(self):
         gram, r, s = self.recomputed()
-        return gram == self.gram and r == self.r and s == self.s
+        return (gram == self.gram and r == self.r and s == self.s
+                and (self.adj is None or self.adj == _adjugate(gram)))

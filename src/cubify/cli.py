@@ -13,8 +13,10 @@ error), 3 generation failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -94,8 +96,16 @@ def _jint(v: int):
     return v if -_SAFE <= v <= _SAFE else str(v)
 
 
+_BIGINT = re.compile(r"-?[0-9]+")
+
+
 def _unjint(v) -> int:
-    return int(v) if isinstance(v, str) else v
+    """Inverse of _jint; accepts exactly the schema's bigint, else ValueError."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and _BIGINT.fullmatch(v):
+        return int(v)
+    raise ValueError("not an integer or decimal string: %r" % (v,))
 
 
 def _jmatrix(m):
@@ -107,11 +117,8 @@ def _unjmatrix(m):
 
 
 def _options_doc(opts: CubifyOptions) -> dict:
-    return {"method": opts.method,
-            "lagrange": opts.lagrange.value,
-            "simplification": opts.simplification.value,
-            "pre_hyperplanar": opts.pre_hyperplanar,
-            "max_cycles": opts.max_cycles}
+    return {k: v.value if isinstance(v, Variant) else v
+            for k, v in dataclasses.asdict(opts).items()}
 
 
 def _input_doc(basis, path=None) -> dict:
@@ -150,8 +157,7 @@ REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
                "options", "r_in", "r_out", "s_in", "s_out", "cycles",
                "r_history", "pre_pass_applied", "max_cycles_exhausted",
                "transform", "timings", "verified")
-OPTION_KEYS = ("method", "lagrange", "simplification", "pre_hyperplanar",
-               "max_cycles")
+OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
 
 
 def report_from_document(doc) -> ReductionReport:
@@ -174,10 +180,14 @@ def report_from_document(doc) -> ReductionReport:
         missing += ["options." + k for k in OPTION_KEYS if k not in opts]
     if missing:
         raise ValueError("missing required keys: " + ", ".join(missing))
+    cycles = doc["cycles"]
+    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
+        raise ValueError("cycles is %r, expected a non-negative integer"
+                         % (cycles,))
     return ReductionReport(
         r_in=_unjint(doc["r_in"]), r_out=_unjint(doc["r_out"]),
         s_in=_unjint(doc["s_in"]), s_out=_unjint(doc["s_out"]),
-        cycles=doc["cycles"],
+        cycles=cycles,
         matrix_class=MatrixClass(doc["classification"]),
         options=CubifyOptions(**{k: opts[k] for k in OPTION_KEYS}),
         auto=doc["auto"],
@@ -209,12 +219,7 @@ def _resolve_options(args, basis):
     if not overrides:
         return None
     base = default_options(classify(basis, large_dim=args.large_dim))
-    merged = {"method": base.method, "lagrange": base.lagrange,
-              "simplification": base.simplification,
-              "pre_hyperplanar": base.pre_hyperplanar,
-              "max_cycles": base.max_cycles}
-    merged.update(overrides)
-    return CubifyOptions(**merged)
+    return dataclasses.replace(base, **overrides)
 
 
 def cmd_reduce(args) -> int:

@@ -66,6 +66,9 @@ def _lagrange(state, m, variant):
                 rvec, rtvec = _combined_row(state, v, u, k)
                 dots = _dots_after_combine(state, v, u, k, n)
                 rr = dots[v]
+                if state.adj is not None:
+                    # inside the hyperplanar pass: rows[v] -= k * rows[u]
+                    state.carry_adj(v, ((-k, u),))
                 if variant is Variant.APPEND:
                     # drop both, append the remainder then the divisor: after
                     # the permute the divisor already sits last, the slot

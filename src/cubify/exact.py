@@ -259,6 +259,19 @@ def _solve_exact(a, b):
     return [[Fraction(x, d) for x in row] for row in nums]
 
 
+def _adjugate(gram):
+    """adj(G) = det(G)·G⁻¹ of a Gram matrix of independent rows, in integers.
+
+    Solving G·X = I fraction-free gives X = adj(G) / det(G) directly; the
+    denominator is positive because G is positive definite.
+    """
+    n = len(gram)
+    d, adj = _solve_fraction_free(
+        gram, [[int(i == j) for j in range(n)] for i in range(n)])
+    assert d > 0
+    return adj
+
+
 def hyperplane_normal(sub):
     """Primitive integer normal to the hyperplane spanned by N-1 vectors.
 

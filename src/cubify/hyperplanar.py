@@ -1,17 +1,24 @@
 """Hyperplanar reduction: shear each vector toward the hyperplane of the rest.
 
-For a chosen vector x the other rows span a hyperplane.  The foot H of the
+For a chosen row x = b_i the other rows span a hyperplane.  The foot H of the
 perpendicular from x onto that hyperplane's direction is the orthogonal
 projection of x onto the span, so the gap H - x = -proj(x) lies inside the
-hyperplane.  Its coordinates over the sublattice rows solve the normal
-equations G_sub·y = -g_x, where G_sub is the sublattice's Gram matrix and
-g_x the scalar products of x with those rows; both are entries of the
-working state's metric tensor.  Rounding y = -G_sub⁻¹·g_x gives the lattice
-point of x's layer nearest the foot in sublattice coordinates, and x is
-replaced by it when the full-basis rhombicity strictly drops.  The solve is
-fraction-free over the integers, so no normal vector, rational gap or fresh
-Gram matrix is built; the hyperplane's primitive normal is computed only
-for trace records of accepted shears.
+hyperplane.  Its coordinates over the other rows come from the dual basis:
+with D = G⁻¹ the inverse of the metric tensor, the dual row
+w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
+
+    -proj(x) = sum_{j != i} (D_ij / D_ii)·b_j.
+
+The pass keeps D exactly as the integer adjugate adj(G) = det(G)·D, which
+unimodular row operations carry along in O(N) per changed row because
+det(G) never changes (see BasisState.carry_adj).  A screening therefore
+rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
+the lattice point of x's layer nearest the foot in sublattice coordinates;
+x is replaced by it when the full-basis rhombicity strictly drops.  The
+adjugate is computed once per pass by a fraction-free solve; no normal
+vector, rational gap or linear solve is needed per screening.  The
+hyperplane's primitive normal is computed only for trace records of
+accepted shears.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 
 from ._state import BasisState
 from .directional import Variant, _lagrange
-from .exact import (Basis, _int, _round_ratio, _solve_fraction_free, dot,
+from .exact import (Basis, _adjugate, _int, _round_ratio, dot,
                     hyperplane_normal, nearest_int, solve_in_sublattice)
 
 
@@ -36,18 +43,17 @@ def sublattice_reduce(sub, lagrange_variant=Variant.INSERT):
     return tuple(tuple(r) for r in state.rows)
 
 
-def _shear_coeffs(gram, m):
-    """round(-G_sub⁻¹·g_x) for row m over rows[:m], from the metric alone.
+def _shear_coeffs(adj, i):
+    """round(adj_it / adj_ii) for every row t != i, in row order.
 
-    G_sub is gram[:m][:m] and g_x the column gram[:m][m].  Integers only:
-    the solve returns numerators over d = det(G_sub), which is positive
-    because a Gram matrix of independent rows is positive definite, and
-    each ratio is rounded half to even like nearest_int.
+    These are the coordinates of -proj(b_i) over the other rows, read off
+    the adjugate of the metric tensor; adj_ii = det(G)·(G⁻¹)_ii is
+    positive, and each ratio is rounded half to even like nearest_int.
     """
-    d, nums = _solve_fraction_free([row[:m] for row in gram[:m]],
-                                   [[-gram[t][m]] for t in range(m)])
+    row = adj[i]
+    d = row[i]
     assert d > 0
-    return [_round_ratio(row[0], d) for row in nums]
+    return [_round_ratio(row[t], d) for t in range(len(row)) if t != i]
 
 
 def _geometric_coeffs(isolated, sub):
@@ -91,15 +97,24 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     if n < 2:
         return
     m = n - 1
+    state.adj = _adjugate(state.gram)
     i = 0
     while i < n:
+        rest = [t for t in range(n) if t != i]
         cand = state.copy()
-        cand.permute([t for t in range(n) if t != i] + [i])
         if reduce_sublattice:
-            cand.sort_by_norm(upto=m)
+            # isolate row i last and norm-sort the rest in one permute
+            rest.sort(key=lambda t: state.gram[t][t])
+            cand.permute(rest + [i])
             _lagrange(cand, m, lagrange_variant)
-        cand.combine_into(m, _shear_coeffs(cand.gram, m), range(m))
+            cand.combine_into(m, _shear_coeffs(cand.adj, m), range(m))
+        else:
+            # the shear reads row i in place; only an accepted
+            # candidate moves it last
+            cand.combine_into(i, _shear_coeffs(cand.adj, i), rest)
         if cand.r < state.r:
+            if not reduce_sublattice:
+                cand.permute(rest + [i])
             if trace is not None:
                 p = hyperplane_normal(cand.rows[:m])
                 trace.append(AcceptedShear(normal=p,
@@ -109,6 +124,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             i = 0
         else:
             i += 1
+    state.adj = None
 
 
 def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,

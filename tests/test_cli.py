@@ -307,3 +307,21 @@ def test_verify_rejects_non_object_report(tmp_path, capsys):
     code, cap = _verify_edited_report(tmp_path, capsys, lambda d: [d])
     assert code == 1
     assert "not a JSON object" in cap.err
+
+
+@pytest.mark.parametrize("key, value", [("r_in", [1]), ("r_in", 1.0),
+                                        ("r_in", True), ("r_in", "1_000"),
+                                        ("cycles", None)])
+def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
+    code, cap = _verify_edited_report(tmp_path, capsys,
+                                      lambda d: {**d, key: value})
+    assert code == 1
+    assert "malformed report" in cap.err and repr(value) in cap.err
+
+
+def test_unjint_accepts_exactly_the_schema_bigint():
+    assert _unjint(-12) == -12
+    assert _unjint("-12") == -12
+    for bad in (False, 1.5, [1], None, "+1", " 1", "1_000", "١"):
+        with pytest.raises(ValueError):
+            _unjint(bad)

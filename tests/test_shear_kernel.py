@@ -1,10 +1,10 @@
-"""The Gram-only shear kernel against the geometric oracle.
+"""The adjugate shear kernel against the geometric oracle.
 
-The hyperplanar pass reads its shear coefficients off the metric tensor
-(round(-G_sub⁻¹·g_x) by a fraction-free solve).  The oracle builds the
-hyperplane normal, the rational gap to the perpendicular foot and solves
-for its sublattice coordinates from the row coordinates; both must round
-to the same integers, ties included.
+The hyperplanar pass reads its shear coefficients for row i off the integer
+adjugate of the metric tensor (round(adj_it / adj_ii)), carried through its
+row operations.  The oracle builds the hyperplane normal, the rational gap
+to the perpendicular foot and solves for its sublattice coordinates from
+the row coordinates; both must round to the same integers, ties included.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
 from cubify._state import BasisState
 from cubify.directional import _lagrange
-from cubify.exact import _solve_fraction_free
+from cubify.exact import _adjugate, _solve_fraction_free
 from cubify.hyperplanar import _shear_coeffs
 
 SMALL = st.integers(-20, 20)
@@ -54,11 +54,27 @@ def test_kernel_matches_geometric_oracle(rows, data):
     m = n - 1
     i = data.draw(st.integers(0, m), label="isolated")
     state = BasisState(rows)
-    state.permute([t for t in range(n) if t != i] + [i])
-    if data.draw(st.booleans(), label="sublattice lagrange"):
-        state.sort_by_norm(upto=m)
+    # set before the rows move, so the kernel reads the carried adjugate
+    state.adj = _adjugate(state.gram)
+    rest = [t for t in range(n) if t != i]
+    reduce_sublattice = data.draw(st.booleans(), label="sublattice lagrange")
+    if reduce_sublattice:
+        # the pass's order: the rest norm-sorted, row i last
+        rest.sort(key=lambda t: state.gram[t][t])
+    state.permute(rest + [i])
+    if reduce_sublattice:
         _lagrange(state, m, data.draw(st.sampled_from(Variant), label="variant"))
-    assert _shear_coeffs(state.gram, m) == oracle(state.rows[m], state.rows[:m])
+    assert state.consistent()
+    assert _shear_coeffs(state.adj, m) == oracle(state.rows[m], state.rows[:m])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=bases(), data=st.data())
+def test_kernel_reads_a_row_in_place(rows, data):
+    # the pass without sublattice reduction shears row i where it stands
+    i = data.draw(st.integers(0, len(rows) - 1), label="isolated")
+    coeffs = _shear_coeffs(_adjugate(metric_tensor(rows)), i)
+    assert coeffs == oracle(rows[i], rows[:i] + rows[i + 1:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -72,6 +88,10 @@ def test_solve_denominator_is_the_positive_gram_determinant(rows):
     # nums / d solves G_sub·y = -g_x exactly
     for a in range(m):
         assert sum(gram[a][b] * nums[b][0] for b in range(m)) == -d * gram[a][m]
+    # row m of the adjugate holds the same numerators over the same d
+    adj = _adjugate(gram)
+    assert adj[m][m] == d
+    assert adj[m][:m] == [row[0] for row in nums]
 
 
 @pytest.mark.parametrize("odd, expected", [(1, 0), (-1, 0), (3, -2), (-3, 2)])
@@ -79,9 +99,11 @@ def test_exact_half_ties_go_to_the_even_neighbour(odd, expected):
     # sublattice rows 2·e_k: G_sub = 4I and g_x = 2·odd, so each
     # coefficient is -odd/2, an exact tie
     rows = [[2, 0, 0], [0, 2, 0], [odd, odd, 1]]
-    gram = metric_tensor(rows)
-    assert _shear_coeffs(gram, 2) == [expected, expected]
+    assert _shear_coeffs(_adjugate(metric_tensor(rows)), 2) == [expected, expected]
     assert oracle(rows[2], rows[:2]) == [expected, expected]
+    # the same tie with the isolated row first
+    rows = rows[2:] + rows[:2]
+    assert _shear_coeffs(_adjugate(metric_tensor(rows)), 0) == [expected, expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,8 +123,6 @@ def test_constructed_ties_under_unimodular_mixing(n, data):
             sub[a] = [x + k * y for x, y in zip(sub[a], sub[b])]
     odd = st.integers(-4, 4).map(lambda t: 2 * t + 1)
     isolated = [data.draw(odd, label="x") * scale for _ in range(m)] + [1]
-    gram = metric_tensor(sub + [isolated])
-    d, _ = _solve_fraction_free(sub_gram(gram, m),
-                                [[-gram[t][m]] for t in range(m)])
-    assert d > 0
-    assert _shear_coeffs(gram, m) == oracle(isolated, sub)
+    adj = _adjugate(metric_tensor(sub + [isolated]))
+    assert adj[m][m] > 0
+    assert _shear_coeffs(adj, m) == oracle(isolated, sub)
