@@ -1,9 +1,12 @@
 """Mutable working state for the reduction passes.
 
-Holds the current rows, the accumulated row transform (rows = trans · input)
-and the metric tensor, with rhombicity and norm sum kept in sync
-incrementally.  All pass internals mutate one of these instead of rebuilding
-bases, so each elementary step is O(N) or O(N^2) instead of O(N^3).
+Holds the input rows once (base, shared by every copy and never mutated),
+the accumulated row transform trans and the metric tensor of the current
+rows, with rhombicity and norm sum kept in sync incrementally.  The current
+rows are trans · base; no pass reads them, so they are formed on demand
+(rows, row(i)) only for outputs, trace records and checks.  All pass
+internals mutate one of these instead of rebuilding bases, so each
+elementary step is O(N) or O(N^2) instead of O(N^3).
 
 The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
 metric tensor, and clears it when it ends.  Unimodular row operations leave
@@ -13,28 +16,35 @@ is set, combine_into, permute and the division steps carry it along.
 
 from __future__ import annotations
 
-from .exact import _adjugate, dot
+from .exact import _adjugate, _matmul, dot
 
 
 class BasisState:
 
-    __slots__ = ("rows", "trans", "gram", "r", "s", "adj")
+    __slots__ = ("base", "trans", "gram", "r", "s", "adj")
 
-    def __init__(self, rows, trans=None):
-        self.rows = [list(r) for r in rows]
-        n = len(self.rows)
-        if trans is None:
-            trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.trans = [list(r) for r in trans]
-        self.gram = [[dot(self.rows[i], self.rows[j]) for j in range(n)]
+    def __init__(self, rows):
+        self.base = tuple(tuple(r) for r in rows)
+        n = len(self.base)
+        self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        self.gram = [[dot(self.base[i], self.base[j]) for j in range(n)]
                      for i in range(n)]
         self.r = sum(abs(x) for row in self.gram for x in row)
         self.s = sum(self.gram[i][i] for i in range(n))
         self.adj = None
 
+    @property
+    def rows(self):
+        """The current rows, trans · base."""
+        return _matmul(self.trans, self.base)
+
+    def row(self, i):
+        """Current row i alone, in O(N^2)."""
+        return _matmul([self.trans[i]], self.base)[0]
+
     def copy(self):
         c = BasisState.__new__(BasisState)
-        c.rows = [r[:] for r in self.rows]
+        c.base = self.base
         c.trans = [r[:] for r in self.trans]
         c.gram = [r[:] for r in self.gram]
         c.r = self.r
@@ -44,7 +54,7 @@ class BasisState:
 
     def adopt(self, other):
         """Take over another state's contents; list objects are kept alive."""
-        self.rows[:] = other.rows
+        self.base = other.base
         self.trans[:] = other.trans
         self.gram[:] = other.gram
         self.r = other.r
@@ -55,17 +65,16 @@ class BasisState:
         g = self.gram
         return 2 * sum(abs(g[i][j]) for j in range(len(g)) if j != i) + abs(g[i][i])
 
-    def replace(self, idx, vec, tvec, dots):
-        """Replace row idx (and its transform row); update gram, r, s.
+    def replace(self, idx, tvec, dots):
+        """Replace transform row idx; update gram, r, s.
 
-        dots must be the scalar products of vec with every current row
-        except idx plus vec·vec at position idx; callers derive the new row
-        from existing ones and so read these off gram.
+        dots must be the scalar products of the new row with every current
+        row except idx plus its own squared norm at position idx; callers
+        derive the new row from existing ones and so read these off gram.
         """
-        n = len(self.rows)
+        n = len(self.gram)
         self.r -= self._row_weight(idx)
         self.s -= self.gram[idx][idx]
-        self.rows[idx] = list(vec)
         self.trans[idx] = list(tvec)
         for j in range(n):
             self.gram[idx][j] = dots[j]
@@ -95,12 +104,10 @@ class BasisState:
         if not live:
             return
         g = self.gram
-        n = len(self.rows)
-        vec = self.rows[idx][:]
+        n = len(g)
         tvec = self.trans[idx][:]
         for c, s in live:
             for t in range(n):
-                vec[t] += c * self.rows[s][t]
                 tvec[t] += c * self.trans[s][t]
         dots = [0] * n
         for j in range(n):
@@ -112,12 +119,11 @@ class BasisState:
             for c2, s2 in live:
                 nn += c1 * c2 * g[s1][s2]
         dots[idx] = nn
-        self.replace(idx, vec, tvec, dots)
+        self.replace(idx, tvec, dots)
         if self.adj is not None:
             self.carry_adj(idx, live)
 
     def permute(self, order):
-        self.rows[:] = [self.rows[i] for i in order]
         self.trans[:] = [self.trans[i] for i in order]
         self.gram[:] = [[self.gram[i][j] for j in order] for i in order]
         if self.adj is not None:
@@ -125,18 +131,16 @@ class BasisState:
 
     def sort_by_norm(self):
         """Stable sort of the rows by squared norm; r and s are unchanged."""
-        n = len(self.rows)
+        n = len(self.gram)
         order = sorted(range(n), key=lambda i: self.gram[i][i])
         if order != list(range(n)):
             self.permute(order)
 
     # -- checks used by tests and debug asserts --
 
-    def recomputed(self):
-        fresh = BasisState(self.rows, self.trans)
-        return fresh.gram, fresh.r, fresh.s
-
     def consistent(self):
-        gram, r, s = self.recomputed()
-        return (gram == self.gram and r == self.r and s == self.s
-                and (self.adj is None or self.adj == _adjugate(gram)))
+        """Whether gram, r, s and adj match a rebuild from trans · base."""
+        fresh = BasisState(self.rows)
+        return (fresh.gram == self.gram and fresh.r == self.r
+                and fresh.s == self.s
+                and (self.adj is None or self.adj == _adjugate(fresh.gram)))

@@ -404,11 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "reduce":
+        if args.max_cycles is not None and args.max_cycles < 1:
+            parser.error("--max-cycles must be positive")
     if args.command == "bench":
         if args.dim < 2:
             parser.error("--dim must be at least 2")
         if args.count < 1:
             parser.error("--count must be positive")
+        if args.min >= args.max:
+            parser.error("--min must be below --max")
     try:
         return args.func(args)
     except MatrixParseError as exc:

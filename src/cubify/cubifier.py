@@ -125,8 +125,8 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     """Reduce a basis; returns (reduced basis, report).
 
     With options=None the option set is picked from classify(b).  The report
-    carries the exact row transform (reduced = transform · input), verified
-    against the input before returning.
+    carries the exact row transform (reduced = transform · input), checked
+    to be unimodular and to give the tracked metric tensor before returning.
     """
     basis = Basis(b)
     t_start = time.perf_counter()
@@ -147,7 +147,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
 
     def directional_phase():
         t0 = time.perf_counter()
-        _lagrange(state, len(state.rows), opts.lagrange)
+        _lagrange(state, len(state.gram), opts.lagrange)
         _simplify(state, opts.simplification)
         timings["directional"] += time.perf_counter() - t0
 
@@ -174,7 +174,6 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
         r_history.append(state.r)
         if __debug__:
             assert state.consistent()
-            assert _matmul(state.trans, basis.rows) == state.rows
         if state.r >= r_before:
             # no strict progress: hand back the pre-cycle list
             state.adopt(keep)
@@ -185,16 +184,18 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
 
     transform = tuple(tuple(r) for r in state.trans)
     reduced = Basis(state.rows)
-    # exit self-check: the tracked transform must reproduce the output and
-    # be unimodular
-    if _matmul(transform, basis.rows) != [list(r) for r in reduced.rows]:
-        raise AssertionError("transform does not map input to output")
+    # exit self-check: the output (transform · input by construction) must
+    # have the tracked metric tensor, which R and S are read off, and the
+    # transform must be unimodular
+    gram = metric_tensor(reduced)
+    if gram != tuple(tuple(r) for r in state.gram):
+        raise AssertionError("output metric tensor differs from the tracked one")
     if abs(det(transform)) != 1:
         raise AssertionError("transform is not unimodular")
 
     timings["total"] = time.perf_counter() - t_start
     report = ReductionReport(
-        r_in=r_in, r_out=state.r, s_in=s_in, s_out=state.s,
+        r_in=r_in, r_out=rhombicity(gram), s_in=s_in, s_out=norm_sum(gram),
         cycles=cycles, matrix_class=matrix_class, options=opts, auto=auto,
         transform=transform, timings=timings, r_history=r_history,
         pre_pass_applied=pre_applied, max_cycles_exhausted=exhausted)

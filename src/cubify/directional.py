@@ -35,9 +35,8 @@ def _roles(state, i, j):
 
 
 def _combined_row(state, v, u, k):
-    rvec = [a - k * b for a, b in zip(state.rows[v], state.rows[u])]
-    rtvec = [a - k * b for a, b in zip(state.trans[v], state.trans[u])]
-    return rvec, rtvec
+    # transform row of rows[v] - k*rows[u]
+    return [a - k * b for a, b in zip(state.trans[v], state.trans[u])]
 
 
 def _dots_after_combine(state, v, u, k, n):
@@ -51,7 +50,7 @@ def _dots_after_combine(state, v, u, k, n):
 
 def _lagrange(state, m, variant):
     """Division sweeps over rows[:m] until every rounded quotient is zero."""
-    n = len(state.rows)
+    n = len(state.gram)
     changed = True
     while changed:
         changed = False
@@ -63,7 +62,7 @@ def _lagrange(state, m, variant):
                 k = _round_ratio(state.gram[u][v], state.gram[u][u])
                 if k == 0:
                     continue
-                rvec, rtvec = _combined_row(state, v, u, k)
+                tvec = _combined_row(state, v, u, k)
                 dots = _dots_after_combine(state, v, u, k, n)
                 rr = dots[v]
                 if state.adj is not None:
@@ -76,16 +75,16 @@ def _lagrange(state, m, variant):
                     order = [t for t in range(m) if t not in (u, v)] + [v, u]
                     order += range(m, n)
                     state.permute(order)
-                    state.replace(m - 2, rvec, rtvec, [dots[t] for t in order])
+                    state.replace(m - 2, tvec, [dots[t] for t in order])
                 elif rr <= state.gram[u][u]:
                     # the remainder takes the divisor's slot, the divisor
                     # moves to v: swap the two, then replace slot u
                     order = list(range(n))
                     order[u], order[v] = v, u
                     state.permute(order)
-                    state.replace(u, rvec, rtvec, [dots[t] for t in order])
+                    state.replace(u, tvec, [dots[t] for t in order])
                 else:
-                    state.replace(v, rvec, rtvec, dots)
+                    state.replace(v, tvec, dots)
                 changed = True
 
 
@@ -95,7 +94,7 @@ def _sign(x):
 
 def _simplify(state, variant):
     """Single-step combinations accepted only on strict rhombicity decrease."""
-    n = len(state.rows)
+    n = len(state.gram)
     changed = True
     while changed:
         changed = False
@@ -128,13 +127,13 @@ def _simplify(state, variant):
                 if target == u:
                     dots[u] = rr
                     dots[v] = g[v][v] - s * g[u][v]
-                rvec, rtvec = _combined_row(state, v, u, s)
+                tvec = _combined_row(state, v, u, s)
                 if variant is Variant.APPEND:
                     order = [t for t in range(n) if t != target] + [target]
                     state.permute(order)
-                    state.replace(n - 1, rvec, rtvec, [dots[t] for t in order])
+                    state.replace(n - 1, tvec, [dots[t] for t in order])
                 else:
-                    state.replace(target, rvec, rtvec, dots)
+                    state.replace(target, tvec, dots)
                     state.sort_by_norm()
                 changed = True
 
@@ -147,7 +146,7 @@ def lagrange_division(b, variant=Variant.INSERT) -> Basis:
     """
     basis = Basis(b)
     state = BasisState(basis.rows)
-    _lagrange(state, len(state.rows), Variant(variant))
+    _lagrange(state, len(state.gram), Variant(variant))
     return Basis(state.rows)
 
 
@@ -164,6 +163,6 @@ def directional_reduction(b, lagrange_variant=Variant.INSERT,
     """Division sweeps followed by simplification sweeps."""
     basis = Basis(b)
     state = BasisState(basis.rows)
-    _lagrange(state, len(state.rows), Variant(lagrange_variant))
+    _lagrange(state, len(state.gram), Variant(lagrange_variant))
     _simplify(state, Variant(simplification_variant))
     return Basis(state.rows)

@@ -272,6 +272,14 @@ def _adjugate(gram):
     return adj
 
 
+def _primitive(v):
+    """v over the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
 def hyperplane_normal(sub):
     """Primitive integer normal to the hyperplane spanned by N-1 vectors.
 
@@ -289,55 +297,18 @@ def hyperplane_normal(sub):
         if len(v) != n:
             raise DimensionMismatchError("mixed vector dimensions")
 
-    # fraction-free row echelon, remembering pivot columns
-    m = [list(v) for v in vecs]
-    piv_cols = []
-    prev = 1
-    r = 0
-    for col in range(n):
-        if r == n - 1:
-            break
-        p = next((i for i in range(r, n - 1) if m[i][col]), None)
-        if p is None:
+    # complete the span with a unit row e_k; the first nonsingular
+    # completion A gives the normal as the last column of A⁻¹, since
+    # A·x = e_last makes x orthogonal to every spanning vector
+    rhs = [[0]] * (n - 1) + [[1]]
+    for k in range(n):
+        unit = tuple(int(j == k) for j in range(n))
+        try:
+            _, nums = _solve_fraction_free(vecs + [unit], rhs)
+        except _Singular:
             continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][col]
-        for i in range(r + 1, n - 1):
-            f = m[i][col]
-            for j in range(col + 1, n):
-                q, rem = divmod(piv * m[i][j] - f * m[r][j], prev)
-                assert rem == 0
-                m[i][j] = q
-            m[i][col] = 0
-        prev = piv
-        piv_cols.append(col)
-        r += 1
-    if r < n - 1:
-        raise DegenerateHyperplaneError("spanning vectors are linearly dependent")
-
-    free = next(c for c in range(n) if c not in piv_cols)
-    x = [Fraction(0)] * n
-    x[free] = Fraction(1)
-    for i in range(n - 2, -1, -1):
-        c = piv_cols[i]
-        s = Fraction(0)
-        for j in range(c + 1, n):
-            if x[j]:
-                s += m[i][j] * x[j]
-        x[c] = -s / m[i][c]
-
-    den = 1
-    for f in x:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in x]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+        return _primitive([x[0] for x in nums])
+    raise DegenerateHyperplaneError("spanning vectors are linearly dependent")
 
 
 def solve_in_sublattice(cols, target):

@@ -16,9 +16,9 @@ rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
 the lattice point of x's layer nearest the foot in sublattice coordinates;
 x is replaced by it when the full-basis rhombicity strictly drops.  The
 adjugate is computed once per pass by a fraction-free solve; no normal
-vector, rational gap or linear solve is needed per screening.  The
-hyperplane's primitive normal is computed only for trace records of
-accepted shears.
+vector, rational gap or linear solve is needed per screening.  Trace
+records of accepted shears take the hyperplane's primitive normal from the
+same dual row.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from ._state import BasisState
 from .directional import Variant, _lagrange
-from .exact import (Basis, _adjugate, _int, _round_ratio, dot,
-                    hyperplane_normal, nearest_int, solve_in_sublattice)
+from .exact import (Basis, _adjugate, _int, _matmul, _primitive, _round_ratio,
+                    dot, hyperplane_normal, nearest_int, solve_in_sublattice)
 
 
 def sublattice_reduce(sub, lagrange_variant=Variant.INSERT):
@@ -93,7 +93,7 @@ class AcceptedShear:
 
 def _hyperplanar(state, lagrange_variant=Variant.INSERT,
                  reduce_sublattice=True, trace=None):
-    n = len(state.rows)
+    n = len(state.gram)
     if n < 2:
         return
     m = n - 1
@@ -116,10 +116,11 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             if not reduce_sublattice:
                 cand.permute(rest + [i])
             if trace is not None:
-                p = hyperplane_normal(cand.rows[:m])
-                trace.append(AcceptedShear(normal=p,
-                                           before=tuple(state.rows[i]),
-                                           after=tuple(cand.rows[m])))
+                # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]
+                dual = _matmul(_matmul([cand.adj[m]], cand.trans), cand.base)
+                trace.append(AcceptedShear(normal=_primitive(dual[0]),
+                                           before=tuple(state.row(i)),
+                                           after=tuple(cand.row(m))))
             state.adopt(cand)
             i = 0
         else:

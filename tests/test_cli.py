@@ -150,6 +150,14 @@ def test_reduce_option_overrides(tmp_path, capsys):
     assert doc["options"]["simplification"] == "append"
 
 
+def test_reduce_rejects_bad_max_cycles(tmp_path, capsys):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", path, "--max-cycles", "0"])
+    assert exc.value.code == 2
+    assert "--max-cycles" in capsys.readouterr().err
+
+
 def test_reduce_parse_error_exit(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n3 oops\n")
@@ -212,6 +220,14 @@ def test_bench_rejects_bad_count(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--family", "full", "--dim", "4", "--count", "0"])
     assert exc.value.code == 2
+
+
+def test_bench_rejects_empty_entry_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--family", "full", "--dim", "3", "--count", "1",
+              "--min", "5", "--max", "5"])
+    assert exc.value.code == 2
+    assert "--min" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ verify

@@ -6,9 +6,11 @@ from dataclasses import replace
 import pytest
 
 from cubify import (AUTO_OPTIONS, CubifyOptions, GeneratorSpec, MatrixClass,
-                    SingularBasisError, Variant, classify, cubify,
-                    default_options, generate, lattice_equal, metric_tensor,
-                    norm_sum, rhombicity, verify, verify_problems)
+                    SingularBasisError, Variant, classify, cubifier, cubify,
+                    default_options, det, generate, lattice_equal,
+                    metric_tensor, norm_sum, rhombicity, verify,
+                    verify_problems)
+from cubify._state import BasisState
 from cubify.cli import load_matrix
 
 from _helpers import DATA, random_unimodular
@@ -149,6 +151,57 @@ def test_cubify_pre_pass_flagged():
 def test_cubify_rejects_singular():
     with pytest.raises(SingularBasisError):
         cubify(((1, 2, 3), (2, 4, 6), (0, 0, 1)))
+
+
+def _cubify_corrupted_at_exit(monkeypatch, corrupt):
+    # the per-cycle check runs once after the single allowed cycle; the
+    # state is corrupted right after it passes, so only the exit check is
+    # left to notice
+    class CorruptedAtExit(BasisState):
+        __slots__ = ()
+
+        def consistent(self):
+            ok = super().consistent()
+            corrupt(self)
+            return ok
+
+    monkeypatch.setattr(cubifier, "BasisState", CorruptedAtExit)
+    cubify(B_EXAMPLE, CubifyOptions(method=1, max_cycles=1))
+
+
+def test_exit_check_catches_a_transform_entry(monkeypatch):
+    dets = []
+
+    def corrupt(state):
+        state.trans[-1][0] += 1
+        dets.append(det(state.trans))
+
+    with pytest.raises(AssertionError, match="metric tensor"):
+        _cubify_corrupted_at_exit(monkeypatch, corrupt)
+    # still unimodular: only the metric tensor comparison can catch it
+    assert [abs(d) for d in dets] == [1]
+
+
+def test_exit_check_catches_a_gram_entry(monkeypatch):
+    def corrupt(state):
+        state.gram[0][1] += 1
+
+    with pytest.raises(AssertionError, match="metric tensor"):
+        _cubify_corrupted_at_exit(monkeypatch, corrupt)
+
+
+def test_exit_check_catches_a_scaled_transform_row(monkeypatch):
+    # row 0 doubled with a matching metric tensor: only the determinant
+    # check can tell the doubled lattice from the input's
+    def corrupt(state):
+        state.trans[0] = [2 * x for x in state.trans[0]]
+        g = state.gram
+        for j in range(len(g)):
+            g[0][j] *= 2
+            g[j][0] *= 2
+
+    with pytest.raises(AssertionError, match="unimodular"):
+        _cubify_corrupted_at_exit(monkeypatch, corrupt)
 
 
 def test_verify_accepts_and_rejects():

@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cubify import (Variant, directional_reduction, dot, hyperplane_normal,
                     hyperplanar_pass, lattice_equal, metric_tensor, rhombicity,
                     shear_vector, solve_in_sublattice, sublattice_reduce)
+from cubify._state import BasisState
 
 from _helpers import random_basis, random_unimodular
 from conftest import B_EXAMPLE
@@ -142,3 +145,36 @@ def test_pass_without_sublattice_reduction():
         ok, _ = lattice_equal(scr, out)
         assert ok
         assert rhombicity(metric_tensor(out)) <= rhombicity(metric_tensor(scr))
+
+
+@pytest.mark.parametrize("reduce_sublattice", [True, False])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_trace_normal_is_the_accepted_sublattice_normal(
+        monkeypatch, variant, reduce_sublattice):
+    # the record's normal comes from the carried adjugate; it must be the
+    # primitive normal of the rows the accepted candidate keeps before the
+    # sheared one, which the pass hands to adopt right after recording it
+    adopted = []
+    adopt = BasisState.adopt
+
+    def recording(self, other):
+        adopted.append(other.rows)
+        adopt(self, other)
+
+    monkeypatch.setattr(BasisState, "adopt", recording)
+    rng = random.Random(241)
+    records = 0
+    for _ in range(12):
+        n = rng.randrange(2, 8)
+        b = random_basis(n, rng, lo=-30, hi=30)
+        trace = []
+        adopted.clear()
+        hyperplanar_pass(b, variant, reduce_sublattice=reduce_sublattice,
+                         trace=trace)
+        assert len(trace) == len(adopted)
+        for rec, rows in zip(trace, adopted):
+            assert rec.normal == hyperplane_normal(rows[:-1])
+            assert rec.after == tuple(rows[-1])
+            assert dot(rec.normal, rec.before) == dot(rec.normal, rec.after)
+        records += len(trace)
+    assert records >= 20
