@@ -4,14 +4,18 @@ Holds the input rows once (base, shared by every copy and never mutated),
 the accumulated row transform trans and the metric tensor of the current
 rows, with rhombicity and norm sum kept in sync incrementally.  The current
 rows are trans · base; no pass reads them, so they are formed on demand
-(rows, row(i)) only for outputs, trace records and checks.  All pass
-internals mutate one of these instead of rebuilding bases, so each
-elementary step is O(N) or O(N^2) instead of O(N^3).
+(rows, row(i)) only for outputs, trace records and checks.
+
+Every step of a pass is an elementary unimodular row operation, and the
+state owns each one's update: replace(idx, k, src) adds k times one row to
+another, swap exchanges two rows, negate flips one, all in O(N); permute
+reorders all rows at once.  r_after(idx, k, src) evaluates a replace
+without applying it.  No caller updates trans, gram, r, s or adj itself.
 
 The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
 metric tensor, and clears it when it ends.  Unimodular row operations leave
 det(G) unchanged, so adj stays integral over that one denominator; while it
-is set, combine_into, permute and the division steps carry it along.
+is set, every row operation above carries it along.
 """
 
 from __future__ import annotations
@@ -61,67 +65,66 @@ class BasisState:
         self.s = other.s
         self.adj = other.adj
 
-    def _row_weight(self, i):
+    def _combined(self, idx, k, src):
+        """The scalar products of rows[idx] + k·rows[src] and the r it leaves.
+
+        The products with every current row are read off gram, the squared
+        norm at idx; r is the rhombicity once the sum replaces row idx.
+        """
         g = self.gram
-        return 2 * sum(abs(g[i][j]) for j in range(len(g)) if j != i) + abs(g[i][i])
+        gi, gs = g[idx], g[src]
+        dots = [a + k * b for a, b in zip(gi, gs)]
+        dots[idx] = gi[idx] + 2 * k * gi[src] + k * k * gs[src]
+        # a row's weight in r: off-diagonal entries count twice
+        r = (self.r - 2 * sum(map(abs, gi)) + gi[idx]
+             + 2 * sum(map(abs, dots)) - dots[idx])
+        return dots, r
 
-    def replace(self, idx, tvec, dots):
-        """Replace transform row idx; update gram, r, s.
+    def r_after(self, idx, k, src):
+        """The rhombicity replace(idx, k, src) would leave."""
+        return self._combined(idx, k, src)[1]
 
-        dots must be the scalar products of the new row with every current
-        row except idx plus its own squared norm at position idx; callers
-        derive the new row from existing ones and so read these off gram.
+    def replace(self, idx, k, src):
+        """rows[idx] += k·rows[src] (src != idx), in O(N).
+
+        Updates transform row idx, row and column idx of gram, r, s and,
+        while set, adj.  The step is T = I + k·E[idx][src], and
+        adj(T·G·Tᵀ) = T⁻ᵀ·adj(G)·T⁻¹: row src takes -k times row idx, then
+        column src takes -k times column idx.
         """
-        n = len(self.gram)
-        self.r -= self._row_weight(idx)
-        self.s -= self.gram[idx][idx]
-        self.trans[idx] = list(tvec)
-        for j in range(n):
-            self.gram[idx][j] = dots[j]
-            self.gram[j][idx] = dots[j]
-        self.r += 2 * sum(abs(dots[j]) for j in range(n) if j != idx) + abs(dots[idx])
-        self.s += dots[idx]
-
-    def carry_adj(self, idx, live):
-        """Update adj for rows[idx] += sum(c * rows[s] for c, s in live).
-
-        That step is B' = T·B with T⁻¹ = I - sum(c·E[idx][s]), and
-        adj(T·G·Tᵀ) = T⁻ᵀ·adj(G)·T⁻¹: row s takes -c times row idx, then
-        column s takes -c times column idx.  Row and column idx stay.
-        """
+        dots, self.r = self._combined(idx, k, src)
+        g = self.gram
+        self.s += dots[idx] - g[idx][idx]
+        t = self.trans
+        t[idx] = [a + k * b for a, b in zip(t[idx], t[src])]
+        g[idx] = dots
+        for row, x in zip(g, dots):
+            row[idx] = x
         a = self.adj
-        top = a[idx]
-        for c, s in live:
-            a[s] = [x - c * y for x, y in zip(a[s], top)]
-        for row in a:
-            y = row[idx]
-            for c, s in live:
-                row[s] -= c * y
+        if a is not None:
+            a[src] = [x - k * y for x, y in zip(a[src], a[idx])]
+            for row in a:
+                row[src] -= k * row[idx]
 
-    def combine_into(self, idx, coeffs, srcs):
-        """rows[idx] += sum(c * rows[s]); derived dots come from gram."""
-        live = [(c, s) for c, s in zip(coeffs, srcs) if c]
-        if not live:
-            return
-        g = self.gram
-        n = len(g)
-        tvec = self.trans[idx][:]
-        for c, s in live:
-            for t in range(n):
-                tvec[t] += c * self.trans[s][t]
-        dots = [0] * n
-        for j in range(n):
-            if j == idx:
-                continue
-            dots[j] = g[idx][j] + sum(c * g[s][j] for c, s in live)
-        nn = g[idx][idx] + 2 * sum(c * g[idx][s] for c, s in live)
-        for c1, s1 in live:
-            for c2, s2 in live:
-                nn += c1 * c2 * g[s1][s2]
-        dots[idx] = nn
-        self.replace(idx, tvec, dots)
-        if self.adj is not None:
-            self.carry_adj(idx, live)
+    def swap(self, a, b):
+        """Exchange rows a and b, in O(N); r and s are unchanged."""
+        t = self.trans
+        t[a], t[b] = t[b], t[a]
+        for m in (self.gram, self.adj):
+            if m is not None:
+                m[a], m[b] = m[b], m[a]
+                for row in m:
+                    row[a], row[b] = row[b], row[a]
+
+    def negate(self, idx):
+        """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
+        self.trans[idx] = [-x for x in self.trans[idx]]
+        for m in (self.gram, self.adj):
+            if m is not None:
+                # the diagonal entry flips twice
+                m[idx] = [-x for x in m[idx]]
+                for row in m:
+                    row[idx] = -row[idx]
 
     def permute(self, order):
         self.trans[:] = [self.trans[i] for i in order]

@@ -159,6 +159,13 @@ REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
                "transform", "timings", "verified")
 OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
 
+#: report keys whose JSON type is checked as read (options check their own)
+_TYPED_KEYS = (("auto", bool, "a boolean"),
+               ("pre_pass_applied", bool, "a boolean"),
+               ("max_cycles_exhausted", bool, "a boolean"),
+               ("r_history", list, "an array"),
+               ("timings", dict, "an object"))
+
 
 def report_from_document(doc) -> ReductionReport:
     """Rebuild a reduction report from a reduce command's JSON document.
@@ -184,6 +191,9 @@ def report_from_document(doc) -> ReductionReport:
     if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
         raise ValueError("cycles is %r, expected a non-negative integer"
                          % (cycles,))
+    for key, kind, name in _TYPED_KEYS:
+        if not isinstance(doc[key], kind):
+            raise ValueError("%s is %r, expected %s" % (key, doc[key], name))
     return ReductionReport(
         r_in=_unjint(doc["r_in"]), r_out=_unjint(doc["r_out"]),
         s_in=_unjint(doc["s_in"]), s_out=_unjint(doc["s_out"]),

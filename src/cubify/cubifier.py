@@ -69,6 +69,10 @@ def classify(b, *, large_dim=LARGE_DIM) -> MatrixClass:
     return MatrixClass.LARGE_COLUMNAR
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class CubifyOptions:
     method: int = 1
@@ -78,12 +82,14 @@ class CubifyOptions:
     max_cycles: int = 1000
 
     def __post_init__(self):
-        if self.method not in (1, 2):
+        if not _is_int(self.method) or self.method not in (1, 2):
             raise ValueError("method must be 1 or 2")
         object.__setattr__(self, "lagrange", Variant(self.lagrange))
         object.__setattr__(self, "simplification", Variant(self.simplification))
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be positive")
+        if not isinstance(self.pre_hyperplanar, bool):
+            raise ValueError("pre_hyperplanar must be a bool")
+        if not _is_int(self.max_cycles) or self.max_cycles < 1:
+            raise ValueError("max_cycles must be a positive integer")
 
 
 #: default option sets per matrix class

@@ -34,20 +34,6 @@ def _roles(state, i, j):
     return (i, j) if i < j else (j, i)
 
 
-def _combined_row(state, v, u, k):
-    # transform row of rows[v] - k*rows[u]
-    return [a - k * b for a, b in zip(state.trans[v], state.trans[u])]
-
-
-def _dots_after_combine(state, v, u, k, n):
-    # scalar products of rows[v] - k*rows[u] with the current rows, read off
-    # the metric; entry at index v is the new squared norm
-    g = state.gram
-    dots = [g[v][t] - k * g[u][t] for t in range(n)]
-    dots[v] = g[v][v] - 2 * k * g[u][v] + k * k * g[u][u]
-    return dots
-
-
 def _lagrange(state, m, variant):
     """Division sweeps over rows[:m] until every rounded quotient is zero."""
     n = len(state.gram)
@@ -62,29 +48,16 @@ def _lagrange(state, m, variant):
                 k = _round_ratio(state.gram[u][v], state.gram[u][u])
                 if k == 0:
                     continue
-                tvec = _combined_row(state, v, u, k)
-                dots = _dots_after_combine(state, v, u, k, n)
-                rr = dots[v]
-                if state.adj is not None:
-                    # inside the hyperplanar pass: rows[v] -= k * rows[u]
-                    state.carry_adj(v, ((-k, u),))
+                state.replace(v, -k, u)
                 if variant is Variant.APPEND:
-                    # drop both, append the remainder then the divisor: after
-                    # the permute the divisor already sits last, the slot
-                    # before it (old row v) takes the remainder
+                    # drop both, append the remainder then the divisor
                     order = [t for t in range(m) if t not in (u, v)] + [v, u]
                     order += range(m, n)
                     state.permute(order)
-                    state.replace(m - 2, tvec, [dots[t] for t in order])
-                elif rr <= state.gram[u][u]:
+                elif state.gram[v][v] <= state.gram[u][u]:
                     # the remainder takes the divisor's slot, the divisor
-                    # moves to v: swap the two, then replace slot u
-                    order = list(range(n))
-                    order[u], order[v] = v, u
-                    state.permute(order)
-                    state.replace(u, tvec, [dots[t] for t in order])
-                else:
-                    state.replace(v, tvec, dots)
+                    # moves to v
+                    state.swap(u, v)
                 changed = True
 
 
@@ -102,38 +75,26 @@ def _simplify(state, variant):
             for j in range(n):
                 if i == j:
                     continue
-                # permute() rebinds the gram, so never hold it across moves
-                g = state.gram
                 u, v = _roles(state, i, j)
-                s = _sign(g[u][v])
+                s = _sign(state.gram[u][v])
                 if s == 0:
                     continue
-                dots = _dots_after_combine(state, v, u, s, n)
-                rr = dots[v]
-                # rhombicity if the remainder replaces row u resp. row v;
-                # dots[v] holds the squared norm, the remainder's product
-                # with the surviving row v is g[v][v] - s*g[u][v]
-                new_u = 2 * (sum(abs(dots[t]) for t in range(n) if t not in (u, v))
-                             + abs(g[v][v] - s * g[u][v])) + rr
-                r_u = state.r - state._row_weight(u) + new_u
-                new_v = 2 * sum(abs(dots[t]) for t in range(n) if t != v) + rr
-                r_v = state.r - state._row_weight(v) + new_v
-                if r_u < state.r:
+                # the remainder v - s·u replaces row u or row v; in u's slot
+                # it is -s·(u - s·v), whose scalar products differ from
+                # those of u - s·v only in sign, so R is the same
+                if state.r_after(u, -s, v) < state.r:
                     target = u
-                elif r_v < state.r:
+                    state.replace(u, -s, v)
+                    if s > 0:
+                        state.negate(u)
+                elif state.r_after(v, -s, u) < state.r:
                     target = v
+                    state.replace(v, -s, u)
                 else:
                     continue
-                if target == u:
-                    dots[u] = rr
-                    dots[v] = g[v][v] - s * g[u][v]
-                tvec = _combined_row(state, v, u, s)
                 if variant is Variant.APPEND:
-                    order = [t for t in range(n) if t != target] + [target]
-                    state.permute(order)
-                    state.replace(n - 1, tvec, [dots[t] for t in order])
+                    state.permute([t for t in range(n) if t != target] + [target])
                 else:
-                    state.replace(target, tvec, dots)
                     state.sort_by_norm()
                 changed = True
 

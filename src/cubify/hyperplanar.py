@@ -10,8 +10,8 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
     -proj(x) = sum_{j != i} (D_ij / D_ii)·b_j.
 
 The pass keeps D exactly as the integer adjugate adj(G) = det(G)·D, which
-unimodular row operations carry along in O(N) per changed row because
-det(G) never changes (see BasisState.carry_adj).  A screening therefore
+unimodular row operations carry along in O(N) per step because det(G)
+never changes (see BasisState.replace).  A screening therefore
 rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
 the lattice point of x's layer nearest the foot in sublattice coordinates;
 x is replaced by it when the full-basis rhombicity strictly drops.  The
@@ -107,11 +107,14 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             rest.sort(key=lambda t: state.gram[t][t])
             cand.permute(rest + [i])
             _lagrange(cand, m, lagrange_variant)
-            cand.combine_into(m, _shear_coeffs(cand.adj, m), range(m))
+            target, srcs = m, range(m)
         else:
             # the shear reads row i in place; only an accepted
             # candidate moves it last
-            cand.combine_into(i, _shear_coeffs(cand.adj, i), rest)
+            target, srcs = i, rest
+        for c, t in zip(_shear_coeffs(cand.adj, target), srcs):
+            if c:
+                cand.replace(target, c, t)
         if cand.r < state.r:
             if not reduce_sublattice:
                 cand.permute(rest + [i])

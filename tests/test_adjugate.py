@@ -1,9 +1,10 @@
-"""The adjugate the hyperplanar pass carries must stay exact.
+"""The state's row operations and the adjugate they carry must stay exact.
 
-BasisState.adj is det(G)·G⁻¹ of the working metric tensor.  permute, the
-division steps of _lagrange and combine_into update it in place instead of
-recomputing it; after any sequence of them it must equal a fresh adjugate,
-satisfy gram·adj == det(G)·I, and det(G) must not have moved.
+BasisState.adj is det(G)·G⁻¹ of the working metric tensor.  permute, swap,
+negate and replace (and so the division steps of _lagrange) update it in
+place instead of recomputing it; after any sequence of them it must equal
+a fresh adjugate, satisfy gram·adj == det(G)·I, and det(G) must not have
+moved.  r_after must predict replace, and a replace must undo exactly.
 """
 
 import pytest
@@ -32,21 +33,24 @@ def bases(draw, dims=st.integers(1, 8)):
 
 
 def _random_step(draw, state):
-    n = len(state.rows)
-    kind = draw(st.sampled_from(("permute", "lagrange", "combine")))
+    n = len(state.gram)
+    kind = draw(st.sampled_from(("permute", "swap", "negate", "replace",
+                                 "lagrange")))
     if kind == "permute":
         state.permute(draw(st.permutations(range(n))))
+    elif kind == "swap":
+        state.swap(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    elif kind == "negate":
+        state.negate(draw(st.integers(0, n - 1)))
+    elif kind == "replace" and n > 1:
+        idx, src = draw(st.permutations(range(n)))[:2]
+        state.replace(idx, draw(st.integers(-3, 3)), src)
     elif kind == "lagrange":
         _lagrange(state, draw(st.integers(1, n)), draw(st.sampled_from(Variant)))
-    else:
-        idx = draw(st.integers(0, n - 1))
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=n - 1,
-                               max_size=n - 1))
-        state.combine_into(idx, coeffs, [t for t in range(n) if t != idx])
 
 
 def assert_exact(state, g):
-    n = len(state.rows)
+    n = len(state.gram)
     assert state.adj == _adjugate(state.gram)
     assert det(state.gram) == g
     for a in range(n):
@@ -76,27 +80,56 @@ def test_consistent_checks_the_adjugate():
     assert not state.consistent()
 
 
+def _snapshot(state):
+    return ([r[:] for r in state.trans], [r[:] for r in state.gram],
+            state.r, state.s, [r[:] for r in state.adj])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=bases(st.integers(2, 8)), data=st.data())
+def test_r_after_predicts_replace_and_replace_undoes(rows, data):
+    state = BasisState(rows)
+    state.adj = _adjugate(state.gram)
+    idx, src = data.draw(st.permutations(range(len(rows))), label="rows")[:2]
+    k = data.draw(st.integers(-5, 5), label="k")
+    before = _snapshot(state)
+    predicted = state.r_after(idx, k, src)
+    assert _snapshot(state) == before
+    state.replace(idx, k, src)
+    assert state.r == predicted
+    assert_exact(state, det(before[1]))
+    state.replace(idx, -k, src)
+    assert _snapshot(state) == before
+
+
 @pytest.mark.parametrize("reduce_sublattice", [True, False])
 @pytest.mark.parametrize("variant", list(Variant))
 @settings(max_examples=25, deadline=None)
 @given(rows=bases(st.integers(2, 6)))
 def test_pass_reads_an_exact_adjugate_at_every_screening(
         rows, reduce_sublattice, variant):
-    # every screening shears through combine_into while adj is set; check
-    # the candidate just before each of them
+    # every screening copies the state and shears the candidate through
+    # replace while adj is set; a screening whose coefficients are all zero
+    # makes no replace call, so check at every copy and every replace
     seen = []
-    combine_into = BasisState.combine_into
+    copy, replace = BasisState.copy, BasisState.replace
 
-    def checked(self, idx, coeffs, srcs):
+    def checked_copy(self):
         if self.adj is not None:
             assert self.consistent()
-            seen.append(idx)
-        combine_into(self, idx, coeffs, srcs)
+            seen.append("copy")
+        return copy(self)
+
+    def checked_replace(self, idx, k, src):
+        if self.adj is not None:
+            assert self.consistent()
+        replace(self, idx, k, src)
 
     state = BasisState(rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BasisState, "combine_into", checked)
+        mp.setattr(BasisState, "copy", checked_copy)
+        mp.setattr(BasisState, "replace", checked_replace)
         _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice)
-    assert seen
+    assert len(seen) >= len(rows)
     assert state.adj is None
     assert state.consistent()

@@ -3,17 +3,20 @@
 Each digest is the SHA-256 of repr((reduced rows, transform, r_history)) for
 cubify(b) with automatic options.  The inputs cover every auto option set
 the classifier picks on them: het20 (pre-hyperplanar pass, insert
-variants), full and columnar (0, 100) draws (method 2, append variants) and
-a 300-digit columnar draw (method 1, insert variants).  A digest changes
-only when the reduction takes a different path, so a change here needs a
-stated reason, not an updated constant.
+variants), full and columnar (0, 100) draws (method 2, append variants), a
+300-digit columnar draw (method 1, insert variants) and a columnar n = 16
+draw (method 1, append division, insert simplification).  One more digest
+covers a full n = 10 draw under all 16 explicit option sets.  A digest
+changes only when the reduction takes a different path, so a change here
+needs a stated reason, not an updated constant.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
-from cubify import GeneratorSpec, cubify, generate
+from cubify import CubifyOptions, GeneratorSpec, Variant, cubify, generate
 from cubify.cli import load_matrix
 
 from _helpers import DATA
@@ -27,7 +30,12 @@ PINNED = {
     "columnar-10": "6b4daeac893638d7db526aa6f8f2a563c7b801020435b1f5113b769f67919a93",
     "columnar-12": "174048f75e705a6701c59c1612466aa3abb8df101db5498c8c34385a986b98bc",
     "columnar-4-bigint": "0ad15bea0b381611738f5c5cd9051d711e0086bc04ae7f070aa9a0cbd7818923",
+    "columnar-16": "3d10c77923cf18f1e9e388754ebd2b376f2a96a47ab44a184dd581009a77a821",
 }
+
+#: full n = 10, entries in (-1000, 1000), seed 10, under every explicit
+#: combination of method, both variants and the pre-hyperplanar pass
+ALL_OPTIONS = "8727c1307477dd874e7721808722e9b59b6b1817c534396278ce691aacda941a"
 
 
 def _input(name):
@@ -36,6 +44,8 @@ def _input(name):
     if name == "columnar-4-bigint":
         return generate(GeneratorSpec("columnar", 4, (10 ** 299, 10 ** 300 - 1),
                                       seed=4))
+    if name == "columnar-16":
+        return generate(GeneratorSpec("columnar", 16, (0, 1000), seed=16))
     family, n = name.split("-")
     return generate(GeneratorSpec(family, int(n), (0, 100), seed=int(n)))
 
@@ -45,3 +55,17 @@ def test_cubify_output_digest_is_pinned(name):
     reduced, report = cubify(_input(name))
     text = repr((reduced.rows, report.transform, tuple(report.r_history)))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+
+
+def test_every_explicit_option_set_is_pinned():
+    b = generate(GeneratorSpec("full", 10, (-1000, 1000), seed=10))
+    outputs = []
+    for method, lag, simp, pre in itertools.product((1, 2), Variant, Variant,
+                                                    (False, True)):
+        reduced, report = cubify(b, CubifyOptions(
+            method=method, lagrange=lag, simplification=simp,
+            pre_hyperplanar=pre))
+        outputs.append((reduced.rows, report.transform,
+                        tuple(report.r_history)))
+    text = repr(tuple(outputs))
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_OPTIONS

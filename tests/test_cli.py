@@ -335,6 +335,26 @@ def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
     assert "malformed report" in cap.err and repr(value) in cap.err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("r_history", "12"), ("options.method", True), ("options.max_cycles", 2.5),
+    ("options.pre_hyperplanar", "yes"), ("auto", "x"), ("pre_pass_applied", 3),
+    ("max_cycles_exhausted", None), ("timings", [1])])
+def test_verify_rejects_a_field_the_schema_rejects(tmp_path, capsys, key, value):
+    def edit(doc):
+        outer, _, inner = key.partition(".")
+        if inner:
+            doc[outer][inner] = value
+        else:
+            doc[outer] = value
+        with pytest.raises(jsonschema.ValidationError):
+            check_schema(doc)
+        return doc
+
+    code, cap = _verify_edited_report(tmp_path, capsys, edit)
+    assert code == 1
+    assert "malformed report" in cap.err
+
+
 def test_unjint_accepts_exactly_the_schema_bigint():
     assert _unjint(-12) == -12
     assert _unjint("-12") == -12

@@ -78,6 +78,11 @@ def test_options_validation():
         CubifyOptions(method=3)
     with pytest.raises(ValueError):
         CubifyOptions(max_cycles=0)
+    for bad in ({"method": True}, {"method": 1.0}, {"max_cycles": 2.5},
+                {"max_cycles": True}, {"pre_hyperplanar": "yes"},
+                {"pre_hyperplanar": 1}):
+        with pytest.raises(ValueError):
+            CubifyOptions(**bad)
     opts = CubifyOptions(lagrange="append", simplification="insert")
     assert opts.lagrange is Variant.APPEND
 
