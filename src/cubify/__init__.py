@@ -19,8 +19,7 @@ from .directional import (Variant, directional_reduction, lagrange_division,
 from .exact import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     DimensionMismatchError, SingularBasisError, det, dot,
                     hyperplane_normal, lattice_equal, metric_tensor,
-                    nearest_int, norm_sum, rhombicity, solve_in_sublattice,
-                    sort_by_norm)
+                    nearest_int, norm_sum, rhombicity, solve_in_sublattice)
 from .hyperplanar import (AcceptedShear, hyperplanar_pass, shear_vector,
                           sublattice_reduce)
 from .lll import GramSchmidtState, gram_schmidt, lll_reduce
@@ -37,6 +36,5 @@ __all__ = [
     "gram_schmidt", "hyperplane_normal", "hyperplanar_pass",
     "lagrange_division", "lattice_equal", "lll_reduce", "metric_tensor",
     "nearest_int", "norm_sum", "rhombicity", "run_battery", "shear_vector",
-    "simplification", "solve_in_sublattice", "sort_by_norm", "verify",
-    "verify_problems",
+    "simplification", "solve_in_sublattice", "verify", "verify_problems",
 ]

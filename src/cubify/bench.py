@@ -1,9 +1,10 @@
 """Seeded random matrix generation and reduction batteries.
 
 Two families: "full" draws every entry uniformly from the entry range,
-"columnar" starts from the identity and redraws the last column.  Batteries
-reduce `count` matrices (seeds seed, seed+1, ...) with each requested
-algorithm, verify lattice equality per matrix, and aggregate mean reduction
+"columnar" starts from the identity and redraws the last column.  measure
+reduces one matrix with each requested algorithm, times it and checks each
+output against the algorithm's unimodular transform.  Batteries run measure
+on `count` matrices (seeds seed, seed+1, ...) and aggregate mean reduction
 factors R_in/R_out and S_in/S_out.
 """
 
@@ -14,13 +15,14 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .cubifier import cubify
-from .exact import Basis, SingularBasisError, lattice_equal, metric_tensor, \
-    norm_sum, rhombicity
-from .lll import lll_reduce
+from .cubifier import LARGE_DIM, cubify, transform_problems
+from .exact import Basis, SingularBasisError, metric_tensor, norm_sum, \
+    rhombicity
+from .lll import _lll
 
 FAMILIES = ("full", "columnar")
 ALGORITHMS = ("cubify", "lll")
+LLL_ALPHA = Fraction(3, 4)
 
 
 class GenerationError(RuntimeError):
@@ -74,7 +76,7 @@ def generate(spec: GeneratorSpec) -> Basis:
 @dataclass
 class MatrixRecord:
     algorithm: str
-    seed: int
+    seed: int | None
     r_in: int
     r_out: int
     s_in: int
@@ -123,16 +125,38 @@ class BatteryResult:
                 for alg in self.algorithms}
 
 
-def _reduce_one(basis, algorithm):
-    t0 = time.perf_counter()
-    if algorithm == "cubify":
-        reduced, report = cubify(basis)
-    elif algorithm == "lll":
-        reduced, report = lll_reduce(basis), None
-    else:
-        raise ValueError("unknown algorithm %r" % (algorithm,))
-    seconds = time.perf_counter() - t0
-    return reduced, report, seconds
+def measure(basis, algorithms=ALGORITHMS, seed=None,
+            large_dim=LARGE_DIM) -> list:
+    """Reduce and time basis with each algorithm; one record each.
+
+    Every output is checked against its transform (transform_problems); a
+    failure raises BatteryVerificationError naming the algorithm and the
+    seed, or the input when seed is None.
+    """
+    m_in = metric_tensor(basis)
+    r_in, s_in = rhombicity(m_in), norm_sum(m_in)
+    records = []
+    for alg in algorithms:
+        t0 = time.perf_counter()
+        if alg == "cubify":
+            reduced, report = cubify(basis, large_dim=large_dim)
+            transform = report.transform
+        elif alg == "lll":
+            (reduced, transform), report = _lll(basis, LLL_ALPHA), None
+        else:
+            raise ValueError("unknown algorithm %r" % (alg,))
+        seconds = time.perf_counter() - t0
+        problems = transform_problems(basis, reduced, transform)
+        if problems:
+            raise BatteryVerificationError("%s failed its check on %s: %s" % (
+                alg, "the input" if seed is None else "seed %d" % seed,
+                "; ".join(problems)))
+        m_out = metric_tensor(reduced)
+        records.append(MatrixRecord(
+            algorithm=alg, seed=seed, r_in=r_in, r_out=rhombicity(m_out),
+            s_in=s_in, s_out=norm_sum(m_out), seconds=seconds,
+            basis=basis, reduced=reduced, report=report))
+    return records
 
 
 def run_battery(spec: GeneratorSpec, count: int,
@@ -140,34 +164,20 @@ def run_battery(spec: GeneratorSpec, count: int,
     """Reduce count seeded matrices with each algorithm and aggregate.
 
     Matrix i uses seed spec.seed + i, so any record can be regenerated in
-    isolation.  Every reduction is checked to span the input lattice; a
-    failure aborts the battery naming the offending seed.
+    isolation.  Each matrix goes through measure, so a failed check aborts
+    the battery naming the offending seed.  Records keep the input, output
+    and report only with keep_outputs.
     """
     if count < 1:
         raise ValueError("count must be positive")
     result = BatteryResult(spec=spec, count=count, algorithms=tuple(algorithms))
-    for i in range(count):
-        mspec = replace(spec, seed=spec.seed + i)
-        basis = generate(mspec)
-        m_in = metric_tensor(basis)
-        r_in, s_in = rhombicity(m_in), norm_sum(m_in)
-        for alg in algorithms:
-            reduced, report, seconds = _reduce_one(basis, alg)
-            ok, _ = lattice_equal(basis, reduced)
-            if not ok:
-                raise BatteryVerificationError(
-                    "%s broke lattice equality at seed %d" % (alg, mspec.seed))
-            m_out = metric_tensor(reduced)
-            rec = MatrixRecord(
-                algorithm=alg, seed=mspec.seed,
-                r_in=r_in, r_out=rhombicity(m_out),
-                s_in=s_in, s_out=norm_sum(m_out), seconds=seconds)
+    for seed in range(spec.seed, spec.seed + count):
+        basis = generate(replace(spec, seed=seed))
+        for rec in measure(basis, algorithms, seed):
             if rec.r_out > rec.r_in:
                 result.flags.append("%s raised rhombicity at seed %d"
-                                    % (alg, mspec.seed))
-            if keep_outputs:
-                rec.basis = basis
-                rec.reduced = reduced
-                rec.report = report
+                                    % (rec.algorithm, seed))
+            if not keep_outputs:
+                rec.basis = rec.reduced = rec.report = None
             result.records.append(rec)
     return result

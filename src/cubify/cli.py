@@ -18,16 +18,13 @@ import hashlib
 import json
 import re
 import sys
-import time
-from fractions import Fraction
 
-from .bench import ALGORITHMS, GenerationError, GeneratorSpec, run_battery
+from .bench import (ALGORITHMS, LLL_ALPHA, BatteryVerificationError,
+                    GenerationError, GeneratorSpec, measure, run_battery)
 from .cubifier import (CubifyOptions, MatrixClass, ReductionReport, classify,
                        cubify, default_options, verify_problems)
 from .directional import Variant
-from .exact import (Basis, SingularBasisError, lattice_equal, metric_tensor,
-                    norm_sum, rhombicity)
-from .lll import lll_reduce
+from .exact import Basis, SingularBasisError
 
 SCHEMA = "cubify-report/1"
 _SAFE = 2 ** 53 - 1
@@ -260,41 +257,27 @@ def cmd_reduce(args) -> int:
 
 def cmd_compare(args) -> int:
     basis = load_matrix(args.input)
-    m = metric_tensor(basis)
-    r_in, s_in = rhombicity(m), norm_sum(m)
-
-    t0 = time.perf_counter()
-    cub_out, cub_report = cubify(basis, large_dim=args.large_dim)
-    cub_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lll_out = lll_reduce(basis, Fraction(3, 4))
-    lll_seconds = time.perf_counter() - t0
-
-    docs = {}
-    for name, out in (("cubify", cub_out), ("lll", lll_out)):
-        ok, _ = lattice_equal(basis, out)
-        mo = metric_tensor(out)
-        docs[name] = {"r_out": _jint(rhombicity(mo)),
-                      "s_out": _jint(norm_sum(mo)),
-                      "verified": ok}
-    docs["cubify"].update({"cycles": cub_report.cycles,
-                           "options": _options_doc(cub_report.options),
-                           "seconds": cub_seconds})
-    docs["lll"].update({"alpha": "3/4", "seconds": lll_seconds})
+    # measure raises unless each output checks out against its transform
+    cub, lll = measure(basis, ALGORITHMS, large_dim=args.large_dim)
+    docs = {rec.algorithm: {"r_out": _jint(rec.r_out), "s_out": _jint(rec.s_out),
+                            "verified": True, "seconds": rec.seconds}
+            for rec in (cub, lll)}
+    docs["cubify"].update({"cycles": cub.report.cycles,
+                           "options": _options_doc(cub.report.options)})
+    docs["lll"]["alpha"] = str(LLL_ALPHA)
 
     if args.json:
         _emit({"schema": SCHEMA, "command": "compare",
                "input": _input_doc(basis, args.input),
-               "classification": cub_report.matrix_class.value,
-               "r_in": _jint(r_in), "s_in": _jint(s_in),
+               "classification": cub.report.matrix_class.value,
+               "r_in": _jint(cub.r_in), "s_in": _jint(cub.s_in),
                "cubify": docs["cubify"], "lll": docs["lll"]}, True)
     else:
-        print("input:  R %d, S %d" % (r_in, s_in))
-        for name in ("cubify", "lll"):
+        print("input:  R %d, S %d" % (cub.r_in, cub.s_in))
+        for name in ALGORITHMS:
             d = docs[name]
-            print("%-7s R %s, S %s, %.3fs%s" % (
-                name + ":", d["r_out"], d["s_out"], d["seconds"],
-                "" if d["verified"] else "  LATTICE MISMATCH"))
+            print("%-7s R %s, S %s, %.3fs" % (
+                name + ":", d["r_out"], d["s_out"], d["seconds"]))
     return 0
 
 
@@ -435,6 +418,9 @@ def main(argv=None) -> int:
     except GenerationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except BatteryVerificationError as exc:
+        print("error: verification failed: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

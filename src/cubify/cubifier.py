@@ -208,33 +208,38 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     return reduced, report
 
 
-def verify_problems(original, reduced, report) -> list:
-    """Diagnostics for a claimed reduction; empty when everything checks out."""
-    problems = []
+_BAD_SHAPE = "transform shape does not match the input"
+
+
+def transform_problems(original, reduced, t) -> list:
+    """Why t fails to show that reduced = t · original with |det t| = 1.
+
+    Empty exactly when reduced spans original's lattice by way of t.
+    """
     orig = _as_rows(original)
-    red = _as_rows(reduced)
-    t = report.transform
     if len(t) != len(orig) or any(len(r) != len(orig) for r in t):
-        problems.append("transform shape does not match the input")
-        return problems
-    if _matmul(t, orig) != [list(r) for r in red]:
+        return [_BAD_SHAPE]
+    problems = []
+    if _matmul(t, orig) != [list(r) for r in _as_rows(reduced)]:
         problems.append("transform does not map the original to the reduced basis")
     if abs(det(t)) != 1:
         problems.append("transform determinant is not +-1")
-    m_in = metric_tensor(orig)
-    m_out = metric_tensor(red)
-    if rhombicity(m_in) != report.r_in:
-        problems.append("recomputed input rhombicity %d != reported %d"
-                        % (rhombicity(m_in), report.r_in))
-    if norm_sum(m_in) != report.s_in:
-        problems.append("recomputed input norm sum %d != reported %d"
-                        % (norm_sum(m_in), report.s_in))
-    if rhombicity(m_out) != report.r_out:
-        problems.append("recomputed output rhombicity %d != reported %d"
-                        % (rhombicity(m_out), report.r_out))
-    if norm_sum(m_out) != report.s_out:
-        problems.append("recomputed output norm sum %d != reported %d"
-                        % (norm_sum(m_out), report.s_out))
+    return problems
+
+
+def verify_problems(original, reduced, report) -> list:
+    """Diagnostics for a claimed reduction; empty when everything checks out."""
+    problems = transform_problems(original, reduced, report.transform)
+    if problems == [_BAD_SHAPE]:
+        return problems
+    for side, b, r, s in (("input", original, report.r_in, report.s_in),
+                          ("output", reduced, report.r_out, report.s_out)):
+        m = metric_tensor(b)
+        for name, got, claimed in (("rhombicity", rhombicity(m), r),
+                                   ("norm sum", norm_sum(m), s)):
+            if got != claimed:
+                problems.append("recomputed %s %s %d != reported %d"
+                                % (side, name, got, claimed))
     return problems
 
 

@@ -136,12 +136,6 @@ def norm_sum(m) -> int:
     return sum(m[i][i] for i in range(len(m)))
 
 
-def sort_by_norm(b) -> Basis:
-    """Rows sorted by squared norm, ascending and stable."""
-    rows = _as_rows(b)
-    return Basis(sorted(rows, key=lambda r: dot(r, r)))
-
-
 def nearest_int(q) -> int:
     """Closest integer to q; exact halves go to the even neighbour.
 
@@ -351,7 +345,7 @@ def _transpose(m):
 
 def _matmul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def lattice_equal(a, b):

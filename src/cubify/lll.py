@@ -1,8 +1,10 @@
 """Exact-arithmetic LLL baseline.
 
 Textbook LLL with rational Gram-Schmidt data carried incrementally through
-size reductions and swaps.  Everything is fractions.Fraction, so the Lovasz
-condition and the size-reduction bound are decided exactly, never by
+size reductions and swaps.  The steps act on the unimodular row transform h,
+not on the rows, and the output is formed once as h · input, so h certifies
+that it spans the input lattice.  Everything is fractions.Fraction, so the
+Lovasz condition and the size-reduction bound are decided exactly, never by
 floating-point proxy.
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Basis, dot
+from .exact import Basis, _matmul, dot
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,17 @@ def lll_reduce(b, alpha=Fraction(3, 4)) -> Basis:
     termination is guaranteed because the product of Gram determinants is a
     positive integer that strictly decreases with every swap.
     """
+    return _lll(b, alpha)[0]
+
+
+def _lll(b, alpha):
+    # (h · b, h) for the unimodular transform h (Cohen, Alg. 2.6.3)
     alpha = Fraction(alpha)
     if not Fraction(1, 4) < alpha <= 1:
         raise ValueError("alpha must be in (1/4, 1]")
-    basis = Basis(b)
-    rows = [list(r) for r in basis.rows]
+    rows = Basis(b).rows
     n = len(rows)
-    if n == 1:
-        return basis
+    h = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     mu, bn = _gs_data(rows)
 
     k = 1
@@ -92,7 +97,7 @@ def lll_reduce(b, alpha=Fraction(3, 4)) -> Basis:
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
-                rows[k] = [a - q * c for a, c in zip(rows[k], rows[j])]
+                h[k] = [a - q * c for a, c in zip(h[k], h[j])]
                 for i in range(j):
                     mu[k][i] -= q * mu[j][i]
                 mu[k][j] -= q
@@ -105,7 +110,7 @@ def lll_reduce(b, alpha=Fraction(3, 4)) -> Basis:
         mu_new = m * bn[k - 1] / b_new
         bn[k] = bn[k - 1] * bn[k] / b_new
         bn[k - 1] = b_new
-        rows[k - 1], rows[k] = rows[k], rows[k - 1]
+        h[k - 1], h[k] = h[k], h[k - 1]
         for j in range(k - 1):
             mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
         for i in range(k + 1, n):
@@ -114,4 +119,4 @@ def lll_reduce(b, alpha=Fraction(3, 4)) -> Basis:
             mu[i][k - 1] = t + mu_new * mu[i][k]
         mu[k][k - 1] = mu_new
         k = max(k - 1, 1)
-    return Basis(rows)
+    return Basis(_matmul(h, rows)), tuple(tuple(r) for r in h)

@@ -1,12 +1,15 @@
 """Seeded generation and battery aggregation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import cubify.bench as bench
-from cubify import (GenerationError, GeneratorSpec, MatrixRecord, generate,
-                    run_battery)
+from cubify import (Basis, BatteryVerificationError, GenerationError,
+                    GeneratorSpec, MatrixRecord, cubify, generate, lll_reduce,
+                    metric_tensor, norm_sum, rhombicity, run_battery)
+from cubify.lll import _lll
 
 
 def test_spec_validation():
@@ -108,3 +111,66 @@ def test_run_battery_single_algorithm():
 def test_run_battery_validates_count():
     with pytest.raises(ValueError):
         run_battery(GeneratorSpec(family="full", dim=4, seed=0), 0)
+
+
+def _doubled(rows):
+    return (tuple(2 * x for x in rows[0]),) + tuple(rows[1:])
+
+
+def _output_off_its_transform(reduced, t):
+    return Basis(_doubled(reduced.rows)), t
+
+
+def _transform_with_det_two(reduced, t):
+    # the output is t · input, but t (and so the output) is not unimodular
+    return Basis(_doubled(reduced.rows)), _doubled(t)
+
+
+def _corrupting(algorithm, corrupt):
+    """(name in cubify.bench, reducer whose outputs pass through corrupt)."""
+    if algorithm == "lll":
+        return "_lll", lambda b, alpha: corrupt(*_lll(b, alpha))
+
+    def bad_cubify(b, **kwargs):
+        reduced, report = cubify(b, **kwargs)
+        reduced, t = corrupt(reduced, report.transform)
+        return reduced, dataclasses.replace(report, transform=t)
+
+    return "cubify", bad_cubify
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_output_off_its_transform, "does not map the original"),
+    (_transform_with_det_two, "determinant is not +-1")])
+@pytest.mark.parametrize("algorithm", ["cubify", "lll"])
+def test_run_battery_rejects_an_output_its_transform_does_not_certify(
+        monkeypatch, algorithm, corrupt, message):
+    monkeypatch.setattr(bench, *_corrupting(algorithm, corrupt))
+    spec = GeneratorSpec(family="full", dim=4, entry_range=(-9, 9), seed=7)
+    with pytest.raises(BatteryVerificationError) as exc:
+        run_battery(spec, 2)
+    assert str(exc.value).startswith("%s failed its check on seed 7: "
+                                     % algorithm)
+    assert message in str(exc.value)
+
+
+def test_measure_names_the_input_without_a_seed(monkeypatch):
+    monkeypatch.setattr(bench, *_corrupting("lll", _output_off_its_transform))
+    b = generate(GeneratorSpec(family="full", dim=3, seed=0))
+    with pytest.raises(BatteryVerificationError,
+                       match="^lll failed its check on the input: "):
+        bench.measure(b)
+
+
+def test_measure_records_carry_the_outputs():
+    b = generate(GeneratorSpec(family="columnar", dim=5, seed=3))
+    cub, lll = bench.measure(b, seed=3)
+    assert (cub.algorithm, lll.algorithm) == ("cubify", "lll")
+    assert cub.seed == lll.seed == 3
+    assert cub.basis is lll.basis is b
+    assert lll.reduced == lll_reduce(b) and lll.report is None
+    reduced, report = cubify(b)
+    assert cub.reduced == reduced and cub.report.transform == report.transform
+    for rec in (cub, lll):
+        m = metric_tensor(rec.reduced)
+        assert (rec.r_out, rec.s_out) == (rhombicity(m), norm_sum(m))

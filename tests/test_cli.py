@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from conftest import B_EXAMPLE
+import cubify.bench as bench
 from cubify import Basis, metric_tensor, rhombicity
 from cubify.cli import (OPTION_KEYS, REDUCE_KEYS, MatrixParseError, _jint,
                         _unjint, format_matrix, load_matrix, main,
@@ -186,6 +187,27 @@ def test_compare_json(tmp_path, capsys):
     assert doc["lll"]["alpha"] == "3/4"
 
 
+def _lll_with_a_doubled_row(monkeypatch):
+    lll = bench._lll
+
+    def doubled(b, alpha):
+        reduced, t = lll(b, alpha)
+        rows = (tuple(2 * x for x in reduced.rows[0]),) + reduced.rows[1:]
+        return Basis(rows), t
+
+    monkeypatch.setattr(bench, "_lll", doubled)
+
+
+def test_compare_exits_4_when_a_check_fails(tmp_path, capsys, monkeypatch):
+    _lll_with_a_doubled_row(monkeypatch)
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    assert main(["compare", path, "--json"]) == 4
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: verification failed: lll failed its "
+                              "check on the input: ")
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -228,6 +250,16 @@ def test_bench_rejects_empty_entry_range(capsys):
               "--min", "5", "--max", "5"])
     assert exc.value.code == 2
     assert "--min" in capsys.readouterr().err
+
+
+def test_bench_exits_4_when_a_check_fails(capsys, monkeypatch):
+    _lll_with_a_doubled_row(monkeypatch)
+    assert main(["bench", "--family", "full", "--dim", "4", "--count", "2",
+                 "--seed", "5"]) == 4
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: verification failed: lll failed its "
+                              "check on seed 5: ")
 
 
 # ------------------------------------------------------------------ verify

@@ -12,6 +12,7 @@ from cubify import (AUTO_OPTIONS, CubifyOptions, GeneratorSpec, MatrixClass,
                     verify_problems)
 from cubify._state import BasisState
 from cubify.cli import load_matrix
+from cubify.cubifier import transform_problems
 
 from _helpers import DATA, random_unimodular
 from conftest import B_EXAMPLE
@@ -234,3 +235,36 @@ def test_verify_hand_built_transform():
     out, rep = cubify(B_EXAMPLE)
     hand = replace(rep, transform=t)
     assert verify(B_EXAMPLE, reduced, hand)
+
+
+def test_verify_problems_messages_and_order():
+    out, rep = cubify(B_EXAMPLE)
+    doubled = (tuple(2 * x for x in rep.transform[0]),) + rep.transform[1:]
+    bad = replace(rep, transform=doubled, r_in=1, s_in=2, r_out=3, s_out=4)
+    assert verify_problems(B_EXAMPLE, out, bad) == [
+        "transform does not map the original to the reduced basis",
+        "transform determinant is not +-1",
+        "recomputed input rhombicity 126 != reported 1",
+        "recomputed input norm sum 78 != reported 2",
+        "recomputed output rhombicity 10 != reported 3",
+        "recomputed output norm sum 8 != reported 4"]
+    # a transform of the wrong shape is the only problem reported
+    bad = replace(bad, transform=rep.transform[1:])
+    assert verify_problems(B_EXAMPLE, out, bad) == [
+        "transform shape does not match the input"]
+
+
+def test_transform_problems():
+    out, rep = cubify(B_EXAMPLE)
+    t = rep.transform
+    assert transform_problems(B_EXAMPLE, out, t) == []
+    doubled = (tuple(2 * x for x in t[0]),) + t[1:]
+    assert transform_problems(B_EXAMPLE, out, doubled) == [
+        "transform does not map the original to the reduced basis",
+        "transform determinant is not +-1"]
+    # t maps the input to a doubled output: only the determinant is wrong
+    twice = (tuple(2 * x for x in out.rows[0]),) + out.rows[1:]
+    assert transform_problems(B_EXAMPLE, twice, doubled) == [
+        "transform determinant is not +-1"]
+    assert transform_problems(B_EXAMPLE, out, [r[:2] for r in t]) == [
+        "transform shape does not match the input"]

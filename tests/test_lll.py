@@ -5,16 +5,36 @@ post-condition here is checked with a from-scratch gram_schmidt() of the
 output, so any drift in the incremental updates shows up immediately.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubify import (Basis, SingularBasisError, det, gram_schmidt,
                     lattice_equal, lll_reduce, metric_tensor, norm_sum)
+from cubify.cubifier import transform_problems
+from cubify.lll import _lll
 
 from _helpers import best_s_in_box, random_basis, random_unimodular
 from conftest import B_EXAMPLE
+from test_bit_identity import PINNED, _input
+
+#: SHA-256 of repr(tuple of lll_reduce(b, alpha).rows for alpha 3/4, 99/100
+#: and 1) on the inputs pinned for cubify in test_bit_identity; a change to
+#: how LLL is computed must leave its outputs unchanged
+LLL_PINNED = {
+    "columnar-10": "e18dc4c90f2ee56663eb38547db382d1711e7eb1d125a2759c7b1f5f57781d93",
+    "columnar-12": "a3b608c066ec1f2d50f9b4a18d35ecbfa35b49b2768216f044143eaa91915e89",
+    "columnar-16": "b748da93d6444bc829974aba52b7cd631f06973b7c81b831319ff132ce040d82",
+    "columnar-4-bigint": "4572843405a34ca5cbfbf5d945c24992a6e5df206f2afacba7d9702774f7f4d0",
+    "columnar-5": "ac3f096745381551deb2a9e68ee19b14865bfbf3efd0eb5b8c4c97488acc6a37",
+    "full-10": "e214731c7351c593ef983c5f628f481bfb32db62e4ebe59c4f71a96fb025f5b5",
+    "full-12": "db9e3628dfd2aa077eff9f1c4859dd7051a7eee9613779a468932bfe7d24968b",
+    "full-5": "b595ee5cf5e3fc57d688ef55385bda1dd0eb7076902ded19f73f2432fd641ce4",
+    "het20": "e574eb37ceed8378f6988ccb503c1a357fce6ca2728070d0e49d74e474efea85",
+}
 
 
 def test_gram_schmidt_examples():
@@ -84,6 +104,32 @@ def test_lll_post_conditions():
         assert abs(det(out.rows)) == abs(det(b.rows))
 
 
+SMALL = st.integers(-20, 20)
+BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                st.integers(10 ** 99, 10 ** 100 - 1))
+
+
+@st.composite
+def bases(draw):
+    n = draw(st.integers(1, 8))
+    entry = draw(st.sampled_from((SMALL, BIG, st.one_of(SMALL, BIG))))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=bases(),
+       alpha=st.sampled_from((Fraction(3, 4), Fraction(99, 100), Fraction(1))))
+def test_lll_transform_certifies_the_output(rows, alpha):
+    reduced, t = _lll(rows, alpha)
+    assert reduced == lll_reduce(rows, alpha)
+    assert transform_problems(rows, reduced, t) == []
+    # the independent oracle finds the same (unique) change of basis
+    assert lattice_equal(reduced, rows) == (True, t)
+
+
 def test_lll_idempotent():
     rng = random.Random(311)
     for _ in range(15):
@@ -104,3 +150,12 @@ def test_lll_alpha_validation():
 def test_lll_rejects_singular():
     with pytest.raises(SingularBasisError):
         lll_reduce(((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_lll_output_digest_is_pinned(name):
+    b = _input(name)
+    outs = tuple(lll_reduce(b, alpha).rows
+                 for alpha in (Fraction(3, 4), Fraction(99, 100), Fraction(1)))
+    digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+    assert digest == LLL_PINNED[name]
