@@ -9,7 +9,7 @@ by a rounded combination of the spanning vectors.
 
 from fractions import Fraction
 
-from cubify import Basis, dot, hyperplanar_pass, hyperplane_normal, shear_vector
+from cubify import Basis, dot, hyperplanar_pass, hyperplane_normal
 from cubify.hyperplanar import AcceptedShear
 
 # ---------------------------------------------------------------- the normal
@@ -21,14 +21,18 @@ print("normal", p, " dots:", [dot(p, v) for v in span])
 
 # ------------------------------------------------------------------ a shear
 
+# the first two rows span the y-z plane; a pass without sublattice
+# reduction screens (5, 1, 0) against them and shears it in place
+sub = ((0, 1, 0), (0, 0, 1))
 x = (5, 1, 0)
-sub = ((0, 1, 0), (0, 0, 1))   # the hyperplane here is the y-z plane
-sheared = shear_vector(x, sub)
+trace = []
+hyperplanar_pass(Basis(sub + (x,)), reduce_sublattice=False, trace=trace)
+(rec,) = trace
+pn = rec.normal
 print()
-print("shear %s along %s -> %s" % (x, sub, sheared))
-pn = hyperplane_normal(sub)
+print("shear %s along %s -> %s" % (rec.before, sub, rec.after))
 print("layer before %d, after %d (normal %s)"
-      % (dot(pn, x), dot(pn, sheared), pn))
+      % (dot(pn, rec.before), dot(pn, rec.after), pn))
 
 # the foot of the perpendicular from x onto the normal line
 pp = dot(pn, pn)

@@ -20,8 +20,7 @@ from .exact import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     DimensionMismatchError, SingularBasisError, det, dot,
                     hyperplane_normal, lattice_equal, metric_tensor,
                     nearest_int, norm_sum, rhombicity, solve_in_sublattice)
-from .hyperplanar import (AcceptedShear, hyperplanar_pass, shear_vector,
-                          sublattice_reduce)
+from .hyperplanar import AcceptedShear, hyperplanar_pass
 from .lll import GramSchmidtState, gram_schmidt, lll_reduce
 
 __version__ = "0.1.0"
@@ -35,6 +34,6 @@ __all__ = [
     "default_options", "det", "directional_reduction", "dot", "generate",
     "gram_schmidt", "hyperplane_normal", "hyperplanar_pass",
     "lagrange_division", "lattice_equal", "lll_reduce", "metric_tensor",
-    "nearest_int", "norm_sum", "rhombicity", "run_battery", "shear_vector",
-    "simplification", "solve_in_sublattice", "verify", "verify_problems",
+    "nearest_int", "norm_sum", "rhombicity", "run_battery", "simplification",
+    "solve_in_sublattice", "verify", "verify_problems",
 ]

@@ -19,10 +19,11 @@ import json
 import re
 import sys
 
-from .bench import (ALGORITHMS, LLL_ALPHA, BatteryVerificationError,
+from .bench import (ALGORITHMS, FAMILIES, LLL_ALPHA, BatteryVerificationError,
                     GenerationError, GeneratorSpec, measure, run_battery)
-from .cubifier import (CubifyOptions, MatrixClass, ReductionReport, classify,
-                       cubify, default_options, verify_problems)
+from .cubifier import (LARGE_DIM, CubifyOptions, MatrixClass, ReductionReport,
+                       _is_int, classify, cubify, default_options,
+                       verify_problems)
 from .directional import Variant
 from .exact import Basis, SingularBasisError
 
@@ -156,12 +157,24 @@ REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
                "transform", "timings", "verified")
 OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
 
-#: report keys whose JSON type is checked as read (options check their own)
-_TYPED_KEYS = (("auto", bool, "a boolean"),
-               ("pre_pass_applied", bool, "a boolean"),
-               ("max_cycles_exhausted", bool, "a boolean"),
-               ("r_history", list, "an array"),
-               ("timings", dict, "an object"))
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+_BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
+
+#: what the schema asks of the report values kept as read (options and the
+#: bigints check their own): key -> (test, what the message expects)
+_TYPED_KEYS = dict(
+    cycles=(lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    input=(lambda v: isinstance(v, dict) and isinstance(v.get("sha256"), str)
+           and _SHA256.fullmatch(v["sha256"]) and _is_int(v.get("dim"))
+           and v["dim"] >= 1 and isinstance(v.get("path", ""), str),
+           "an object with a sha256 digest and a positive dim"),
+    auto=_BOOLEAN, pre_pass_applied=_BOOLEAN, max_cycles_exhausted=_BOOLEAN,
+    verified=_BOOLEAN, r_history=(lambda v: isinstance(v, list), "an array"),
+    transform=(lambda v: isinstance(v, list) and v and all(
+        isinstance(r, list) and r for r in v), "a non-empty matrix"),
+    timings=(lambda v: isinstance(v, dict) and all(
+        _is_int(t) or isinstance(t, float) for t in v.values()),
+        "an object of numbers"))
 
 
 def report_from_document(doc) -> ReductionReport:
@@ -184,17 +197,13 @@ def report_from_document(doc) -> ReductionReport:
         missing += ["options." + k for k in OPTION_KEYS if k not in opts]
     if missing:
         raise ValueError("missing required keys: " + ", ".join(missing))
-    cycles = doc["cycles"]
-    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
-        raise ValueError("cycles is %r, expected a non-negative integer"
-                         % (cycles,))
-    for key, kind, name in _TYPED_KEYS:
-        if not isinstance(doc[key], kind):
+    for key, (valid, name) in _TYPED_KEYS.items():
+        if not valid(doc[key]):
             raise ValueError("%s is %r, expected %s" % (key, doc[key], name))
     return ReductionReport(
         r_in=_unjint(doc["r_in"]), r_out=_unjint(doc["r_out"]),
         s_in=_unjint(doc["s_in"]), s_out=_unjint(doc["s_out"]),
-        cycles=cycles,
+        cycles=doc["cycles"],
         matrix_class=MatrixClass(doc["classification"]),
         options=CubifyOptions(**{k: opts[k] for k in OPTION_KEYS}),
         auto=doc["auto"],
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_class_flags(p):
-        p.add_argument("--large-dim", type=int, default=15, metavar="N",
+        p.add_argument("--large-dim", type=int, default=LARGE_DIM, metavar="N",
                        help="dimension boundary for the large matrix classes")
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
@@ -358,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce one matrix file")
     p.add_argument("input")
     p.add_argument("--method", choices=("auto", "1", "2"), default="auto")
-    p.add_argument("--lagrange", choices=("append", "insert"))
-    p.add_argument("--simplify", choices=("append", "insert"))
+    p.add_argument("--lagrange", choices=[v.value for v in Variant])
+    p.add_argument("--simplify", choices=[v.value for v in Variant])
     p.add_argument("--pre-hyperplanar", action="store_true")
     p.add_argument("--max-cycles", type=int, metavar="K")
     p.add_argument("--out", metavar="PATH",
@@ -373,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="run a seeded reduction battery")
-    p.add_argument("--family", choices=("full", "columnar"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min", type=int, default=0, metavar="LO")
     p.add_argument("--max", type=int, default=100, metavar="HI")
-    p.add_argument("--algorithm", choices=("cubify", "lll", "both"),
+    p.add_argument("--algorithm", choices=ALGORITHMS + ("both",),
                    default="both")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class DimensionMismatchError(ValueError):
@@ -243,16 +243,6 @@ def _solve_fraction_free(a, b):
     return d, nums
 
 
-def _solve_exact(a, b):
-    """Solve a·X = b exactly; a is n*n ints, b is n*m ints.
-
-    Returns X as a list of n rows of Fractions.  Raises _Singular when a has
-    no inverse.
-    """
-    d, nums = _solve_fraction_free(a, b)
-    return [[Fraction(x, d) for x in row] for row in nums]
-
-
 def _adjugate(gram):
     """adj(G) = det(G)·G⁻¹ of a Gram matrix of independent rows, in integers.
 
@@ -327,16 +317,14 @@ def solve_in_sublattice(cols, target):
 
     gram = [[sum(rows[i][a] * rows[i][b] for i in range(n)) for b in range(k)]
             for a in range(k)]
-    lden = 1
-    for f in t:
-        lden = lden * f.denominator // gcd(lden, f.denominator)
+    lden = lcm(*(f.denominator for f in t))
     t_int = [int(f * lden) for f in t]
     rhs = [[sum(rows[i][a] * t_int[i] for i in range(n))] for a in range(k)]
     try:
-        xs = _solve_exact(gram, rhs)
+        d, nums = _solve_fraction_free(gram, rhs)
     except _Singular:
         raise DegenerateSublatticeError("columns are linearly dependent") from None
-    return tuple(x[0] / lden for x in xs)
+    return tuple(Fraction(x[0], d * lden) for x in nums)
 
 
 def _transpose(m):
@@ -360,19 +348,11 @@ def lattice_equal(a, b):
         raise DimensionMismatchError("bases of different shapes")
     if det(br) == 0:
         raise SingularBasisError("second basis is singular")
-    # a = Z·b  <=>  bT · ZT = aT
-    try:
-        xs = _solve_exact(_transpose(br), _transpose(ar))
-    except _Singular:  # pragma: no cover - det check above
-        raise SingularBasisError("second basis is singular") from None
-    n = len(ar)
-    z = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for c in range(n):
-            f = xs[i][c]
-            if f.denominator != 1:
-                return False, None
-            z[c][i] = int(f)
+    # a = Z·b  <=>  bT · ZT = aT; bT is invertible after the det check
+    d, nums = _solve_fraction_free(_transpose(br), _transpose(ar))
+    if any(x % d for row in nums for x in row):
+        return False, None
+    z = _transpose([[x // d for x in row] for row in nums])
     if abs(det(z)) != 1:
         return False, None
     return True, tuple(tuple(r) for r in z)

@@ -14,33 +14,20 @@ unimodular row operations carry along in O(N) per step because det(G)
 never changes (see BasisState.replace).  A screening therefore
 rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
 the lattice point of x's layer nearest the foot in sublattice coordinates;
-x is replaced by it when the full-basis rhombicity strictly drops.  The
-adjugate is computed once per pass by a fraction-free solve; no normal
-vector, rational gap or linear solve is needed per screening.  Trace
-records of accepted shears take the hyperplane's primitive normal from the
-same dual row.
+x is replaced by it when the full-basis rhombicity strictly drops.  This
+is the package's one shear computation: the adjugate is computed once per
+pass by a fraction-free solve, and a screening builds no normal vector,
+rational gap or linear solve.  Trace records of accepted shears take the
+hyperplane's primitive normal from the same dual row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._state import BasisState
 from .directional import Variant, _lagrange
-from .exact import (Basis, _adjugate, _int, _matmul, _primitive, _round_ratio,
-                    dot, hyperplane_normal, nearest_int, solve_in_sublattice)
-
-
-def sublattice_reduce(sub, lagrange_variant=Variant.INSERT):
-    """Norm-sort then division sweeps on N-1 vectors living in dimension N."""
-    vecs = [tuple(_int(x) for x in v) for v in sub]
-    if len(vecs) < 2:
-        return tuple(vecs)
-    state = BasisState(vecs)
-    state.sort_by_norm()
-    _lagrange(state, len(vecs), Variant(lagrange_variant))
-    return tuple(tuple(r) for r in state.rows)
+from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
 
 
 def _shear_coeffs(adj, i):
@@ -54,33 +41,6 @@ def _shear_coeffs(adj, i):
     d = row[i]
     assert d > 0
     return [_round_ratio(row[t], d) for t in range(len(row)) if t != i]
-
-
-def _geometric_coeffs(isolated, sub):
-    """The same coefficients via the primitive normal and a rational gap."""
-    p = hyperplane_normal(sub)
-    pp = dot(p, p)
-    px = dot(p, isolated)
-    # gap from the isolated vector to the foot of the perpendicular
-    gap = [Fraction(px * pc, pp) - xc for pc, xc in zip(p, isolated)]
-    cols = [[v[i] for v in sub] for i in range(len(p))]
-    return [nearest_int(c) for c in solve_in_sublattice(cols, gap)]
-
-
-def shear_vector(isolated, sub):
-    """The lattice point on isolated's layer nearest the perpendicular foot.
-
-    Nearest coordinate-wise over the sublattice rows; the result differs
-    from isolated by an integer combination of sub and keeps p·result
-    unchanged.  Computed geometrically, independent of the pass's kernel.
-    """
-    coeffs = _geometric_coeffs(isolated, sub)
-    out = list(isolated)
-    for c, v in zip(coeffs, sub):
-        if c:
-            for i, x in enumerate(v):
-                out[i] += c * x
-    return tuple(out)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI end to end: parsing, JSON documents, exit codes."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -8,12 +9,12 @@ import pytest
 
 from conftest import B_EXAMPLE
 import cubify.bench as bench
-from cubify import Basis, metric_tensor, rhombicity
+from cubify import ALGORITHMS, Basis, Variant, metric_tensor, rhombicity
 from cubify.cli import (OPTION_KEYS, REDUCE_KEYS, MatrixParseError, _jint,
-                        _unjint, format_matrix, load_matrix, main,
-                        matrix_digest, parse_matrix_text, report_document,
-                        report_from_document)
-from cubify.cubifier import cubify
+                        _unjint, build_parser, format_matrix, load_matrix,
+                        main, matrix_digest, parse_matrix_text,
+                        report_document, report_from_document)
+from cubify.cubifier import LARGE_DIM, cubify
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schemas" / "cubify-report-1.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
@@ -74,6 +75,23 @@ def test_load_matrix_missing_file(tmp_path):
 def test_matrix_digest_distinguishes():
     assert matrix_digest(B_EXAMPLE) == matrix_digest(Basis(B_EXAMPLE))
     assert matrix_digest(B_EXAMPLE) != matrix_digest(((1, 0), (0, 1)))
+
+
+def _flag(command, flag):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions
+                if flag in a.option_strings)
+
+
+def test_parser_takes_defaults_and_choices_from_the_library():
+    for command in ("reduce", "compare"):
+        assert _flag(command, "--large-dim").default == LARGE_DIM
+    assert list(_flag("bench", "--family").choices) == list(bench.FAMILIES)
+    assert (list(_flag("bench", "--algorithm").choices)
+            == list(ALGORITHMS) + ["both"])
+    for flag in ("--lagrange", "--simplify"):
+        assert list(_flag("reduce", flag).choices) == [v.value for v in Variant]
 
 
 # ------------------------------------------------------------ big int policy
@@ -370,7 +388,10 @@ def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
 @pytest.mark.parametrize("key, value", [
     ("r_history", "12"), ("options.method", True), ("options.max_cycles", 2.5),
     ("options.pre_hyperplanar", "yes"), ("auto", "x"), ("pre_pass_applied", 3),
-    ("max_cycles_exhausted", None), ("timings", [1])])
+    ("max_cycles_exhausted", None), ("timings", [1]), ("verified", "yes"),
+    ("input", 5), ("input", {"sha256": "zz", "dim": 0}), ("input.path", 5),
+    ("timings", {"total": "fast"}), ("transform", []), ("transform", [[]]),
+    ("transform", ["12"])])
 def test_verify_rejects_a_field_the_schema_rejects(tmp_path, capsys, key, value):
     def edit(doc):
         outer, _, inner = key.partition(".")

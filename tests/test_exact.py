@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubify import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     DimensionMismatchError, SingularBasisError, det, dot,
                     hyperplane_normal, lattice_equal, metric_tensor,
                     nearest_int, norm_sum, rhombicity, solve_in_sublattice)
 from cubify._state import BasisState
-from cubify.exact import _round_ratio, _Singular, _solve_fraction_free
+from cubify.exact import (_matmul, _round_ratio, _Singular,
+                          _solve_fraction_free)
 
 from conftest import B_EXAMPLE, B_EXAMPLE_REDUCED
 
@@ -269,6 +271,51 @@ def test_lattice_equal_permutation_and_sign():
 def test_lattice_equal_singular_second_argument():
     with pytest.raises(SingularBasisError):
         lattice_equal(((1, 0), (0, 1)), ((1, 2), (2, 4)))
+
+
+ENTRIES = {"small": st.integers(-6, 6),
+           "30 digits": st.integers(-10 ** 30, 10 ** 30)}
+
+
+@st.composite
+def unimodular(draw, n):
+    """A row permutation of I_N, then row additions and negations."""
+    order = draw(st.permutations(range(n)))
+    z = [[int(i == j) for j in range(n)] for i in order]
+    idx = st.integers(0, n - 1)
+    for i, j, k in draw(st.lists(st.tuples(idx, idx, st.integers(-3, 3)),
+                                 max_size=3 * n)):
+        if i == j:
+            z[i] = [-x for x in z[i]]
+        else:
+            z[i] = [x + k * y for x, y in zip(z[i], z[j])]
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), entries=st.sampled_from(sorted(ENTRIES)),
+       data=st.data())
+def test_lattice_equal_decides_by_the_change_of_basis(n, entries, data):
+    row = st.lists(ENTRIES[entries], min_size=n, max_size=n)
+    b = data.draw(st.lists(row, min_size=n, max_size=n), label="b")
+    assume(det(b) != 0)
+    z = data.draw(unimodular(n), label="z")
+    a = _matmul(z, b)
+    assert lattice_equal(a, b) == (True, tuple(map(tuple, z)))
+    # an integral z with |det z| >= 2: a spans a proper sublattice
+    k = data.draw(st.sampled_from((-3, -2, 2, 5)), label="k")
+    r = data.draw(st.integers(0, n - 1), label="scaled row")
+    scaled = [[k * x for x in zr] if i == r else zr for i, zr in enumerate(z)]
+    assert lattice_equal(_matmul(scaled, b), b) == (False, None)
+    # a = (z / k)·(k·b): z / k is not integral, since every row of a
+    # unimodular matrix has coprime entries
+    assert lattice_equal(a, [[k * x for x in br] for br in b]) == (False, None)
+    # a singular second basis: its last row a combination of the others
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                                max_size=n - 1), label="combination")
+    last = [sum(c * br[j] for c, br in zip(coeffs, b)) for j in range(n)]
+    with pytest.raises(SingularBasisError):
+        lattice_equal(a, b[:-1] + [last])
 
 
 def test_basis_validation():

@@ -7,27 +7,48 @@ import pytest
 
 from cubify import (Variant, directional_reduction, dot, hyperplane_normal,
                     hyperplanar_pass, lattice_equal, metric_tensor, rhombicity,
-                    shear_vector, solve_in_sublattice, sublattice_reduce)
+                    solve_in_sublattice)
 from cubify._state import BasisState
+from cubify.directional import _lagrange
+from cubify.exact import _adjugate
+from cubify.hyperplanar import _shear_coeffs
 
 from _helpers import random_basis, random_unimodular
 from conftest import B_EXAMPLE
 
 
+def shear(isolated, sub):
+    """isolated sheared by the pass's kernel over the rows of sub.
+
+    The coefficients are read off the adjugate carried by a BasisState of
+    sub + [isolated] and applied through replace, as the pass does when it
+    shears a row in place.
+    """
+    state = BasisState(list(sub) + [isolated])
+    state.adj = _adjugate(state.gram)
+    m = len(sub)
+    for c, t in zip(_shear_coeffs(state.adj, m), range(m)):
+        if c:
+            state.replace(m, c, t)
+    assert state.consistent()
+    assert state.rows[:m] == [list(v) for v in sub]
+    return tuple(state.row(m))
+
+
 def test_shear_orthogonal_sublattice():
-    assert shear_vector((5, 1, 0), ((0, 1, 0), (0, 0, 1))) == (5, 0, 0)
+    assert shear((5, 1, 0), ((0, 1, 0), (0, 0, 1))) == (5, 0, 0)
 
 
 def test_shear_vector_already_at_foot():
     # the isolated vector is orthogonal to the hyperplane: nothing to do
-    assert shear_vector((0, 0, 3), ((1, 0, 0), (0, 1, 0))) == (0, 0, 3)
+    assert shear((0, 0, 3), ((1, 0, 0), (0, 1, 0))) == (0, 0, 3)
 
 
 def test_shear_small_shift():
     # foot at (0, 0), one whole step of (1, 0) brings (3, 2) to (0, 2)... the
     # normal to [1, 0] is [0, 1], the layer is y = 2, nearest layer point to
     # the foot (0, 2) among (3 + k, 2) is (0, 2)
-    assert shear_vector((3, 2), ((1, 0),)) == (0, 2)
+    assert shear((3, 2), ((1, 0),)) == (0, 2)
 
 
 def test_shear_membership_and_layer():
@@ -38,7 +59,7 @@ def test_shear_membership_and_layer():
         b = random_basis(n, rng, lo=-7, hi=7)
         iso = b.rows[-1]
         sub = b.rows[:-1]
-        out = shear_vector(iso, sub)
+        out = shear(iso, sub)
         p = hyperplane_normal(sub)
         # layer invariance
         assert dot(p, out) == dot(p, iso)
@@ -61,9 +82,10 @@ def test_shear_one_dim_sublattice_is_closest_by_enumeration():
     while done < 80:
         v = (rng.randint(-6, 6), rng.randint(-6, 6))
         x = (rng.randint(-9, 9), rng.randint(-9, 9))
-        if v == (0, 0):
+        if v[0] * x[1] == v[1] * x[0]:
+            # the pass only shears rows of a nonsingular basis
             continue
-        out = shear_vector(x, (v,))
+        out = shear(x, (v,))
         out_n = dot(out, out)
         best = min(dot(c, c) for c in
                    [tuple(a + z * b for a, b in zip(x, v))
@@ -72,13 +94,31 @@ def test_shear_one_dim_sublattice_is_closest_by_enumeration():
         done += 1
 
 
+def reduce_sublattice(rows, m, variant=Variant.INSERT):
+    """rows[:m] after the pass's sublattice step, with rows[m:] checked.
+
+    Norm-sorts rows[:m] and runs _lagrange over them on a BasisState of the
+    full basis, as the pass does before it shears row m.
+    """
+    state = BasisState(rows)
+    order = sorted(range(m), key=lambda t: state.gram[t][t])
+    state.permute(order + list(range(m, len(rows))))
+    _lagrange(state, m, variant)
+    assert state.consistent()
+    assert state.rows[m:] == [list(r) for r in rows[m:]]
+    return [tuple(r) for r in state.rows[:m]]
+
+
 def test_sublattice_reduce_example():
-    out = sublattice_reduce(((1, 0, 0), (3, 1, 0)))
-    assert (0, 1, 0) in out
+    rows = ((1, 0, 0), (3, 1, 0), (0, 0, 1))
+    for variant in Variant:
+        assert (0, 1, 0) in reduce_sublattice(rows, 2, variant)
 
 
 def test_sublattice_reduce_single_vector():
-    assert sublattice_reduce(((4, 5, 6),)) == ((4, 5, 6),)
+    rows = ((4, 5, 6), (0, 1, 0), (0, 0, 1))
+    for variant in Variant:
+        assert reduce_sublattice(rows, 1, variant) == [(4, 5, 6)]
 
 
 def test_sublattice_reduce_same_span():
@@ -88,7 +128,8 @@ def test_sublattice_reduce_same_span():
         n = rng.randrange(3, 7)
         b = random_basis(n, rng, lo=-6, hi=6)
         sub = b.rows[:-1]
-        out = sublattice_reduce(sub, Variant.APPEND if done % 2 else Variant.INSERT)
+        out = reduce_sublattice(b.rows, n - 1,
+                                Variant.APPEND if done % 2 else Variant.INSERT)
         # mutual integer expressibility
         for vin, vout_set in ((sub, out), (out, sub)):
             cols = [[v[i] for v in vout_set] for i in range(n)]
