@@ -10,17 +10,40 @@ Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
 another, swap exchanges two rows, negate flips one, all in O(N); permute
 reorders all rows at once.  r_after(idx, k, src) evaluates a replace
-without applying it.  No caller updates trans, gram, r, s or adj itself.
+without applying it.  No code outside this module updates trans, gram, r,
+s or adj.
 
 The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
 metric tensor, and clears it when it ends.  Unimodular row operations leave
 det(G) unchanged, so adj stays integral over that one denominator; while it
 is set, every row operation above carries it along.
+
+A screening of that pass copies only gram, r, s and one adjugate row, into
+a Candidate; the state's trans and adj follow only when it is accepted.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .exact import _adjugate, _matmul, dot
+
+
+def _reordered(m, order):
+    """m[order][:, order]: rows and columns of a square matrix reindexed."""
+    if len(order) == 1:
+        # itemgetter of one index returns the item, not a 1-tuple
+        (i,) = order
+        return [[m[i][i]]]
+    pick = itemgetter(*order)
+    return [list(pick(row)) for row in pick(m)]
+
+
+def _swap(m, a, b):
+    """Exchange rows a and b and columns a and b of m in place."""
+    m[a], m[b] = m[b], m[a]
+    for row in m:
+        row[a], row[b] = row[b], row[a]
 
 
 class BasisState:
@@ -110,11 +133,9 @@ class BasisState:
         """Exchange rows a and b, in O(N); r and s are unchanged."""
         t = self.trans
         t[a], t[b] = t[b], t[a]
-        for m in (self.gram, self.adj):
-            if m is not None:
-                m[a], m[b] = m[b], m[a]
-                for row in m:
-                    row[a], row[b] = row[b], row[a]
+        _swap(self.gram, a, b)
+        if self.adj is not None:
+            _swap(self.adj, a, b)
 
     def negate(self, idx):
         """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
@@ -127,10 +148,11 @@ class BasisState:
                     row[idx] = -row[idx]
 
     def permute(self, order):
+        """Row t becomes the old row order[t]; r and s are unchanged."""
         self.trans[:] = [self.trans[i] for i in order]
-        self.gram[:] = [[self.gram[i][j] for j in order] for i in order]
+        self.gram[:] = _reordered(self.gram, order)
         if self.adj is not None:
-            self.adj[:] = [[self.adj[i][j] for j in order] for i in order]
+            self.adj[:] = _reordered(self.adj, order)
 
     def sort_by_norm(self):
         """Stable sort of the rows by squared norm; r and s are unchanged."""
@@ -147,3 +169,80 @@ class BasisState:
         return (fresh.gram == self.gram and fresh.r == self.r
                 and fresh.s == self.s
                 and (self.adj is None or self.adj == _adjugate(fresh.gram)))
+
+
+class Candidate:
+    """A trial run of a state's steps that carries one adjugate row.
+
+    Holds copies of the state's gram, r and s, pos (one row's position,
+    which swap and permute move) and arow, the adjugate row at pos.  It
+    takes replace, swap and permute like BasisState, so a pass runs on it
+    unchanged, and logs them instead of updating trans and adj.  Under
+    replace(idx, k, src), adj becomes T⁻ᵀ·adj·T⁻¹, whose row pos differs
+    only in entry src, by -k times entry idx, as long as src != pos.
+    """
+
+    __slots__ = ("gram", "r", "s", "pos", "arow", "log")
+
+    _combined = BasisState._combined
+
+    def __init__(self, state, pos):
+        self.gram = [r[:] for r in state.gram]
+        self.r = state.r
+        self.s = state.s
+        self.pos = pos
+        self.arow = state.adj[pos][:]
+        self.log = []
+
+    def replace(self, idx, k, src):
+        """rows[idx] += k·rows[src] (src != idx, src != pos), in O(N)."""
+        assert src != self.pos
+        dots, self.r = self._combined(idx, k, src)
+        g = self.gram
+        self.s += dots[idx] - g[idx][idx]
+        g[idx] = dots
+        for row, x in zip(g, dots):
+            row[idx] = x
+        a = self.arow
+        a[src] -= k * a[idx]
+        self.log.append(("replace", idx, k, src))
+
+    def swap(self, a, b):
+        _swap(self.gram, a, b)
+        ar = self.arow
+        ar[a], ar[b] = ar[b], ar[a]
+        if self.pos in (a, b):
+            self.pos = a + b - self.pos
+        self.log.append(("swap", a, b))
+
+    def permute(self, order):
+        self.gram = _reordered(self.gram, order)
+        self.arow = [self.arow[j] for j in order]
+        self.pos = order.index(self.pos)
+        self.log.append(("permute", order))
+
+    def replay(self, state):
+        """Give state this gram, r and s, and apply the log to trans and adj.
+
+        state must be the one the candidate was made from, unchanged since;
+        no Gram entry is computed a second time.
+        """
+        t, adj = state.trans, state.adj
+        for op, *args in self.log:
+            if op == "replace":
+                idx, k, src = args
+                t[idx] = [x + k * y for x, y in zip(t[idx], t[src])]
+                adj[src] = [x - k * y for x, y in zip(adj[src], adj[idx])]
+                for row in adj:
+                    row[src] -= k * row[idx]
+            elif op == "swap":
+                a, b = args
+                t[a], t[b] = t[b], t[a]
+                _swap(adj, a, b)
+            else:
+                (order,) = args
+                t[:] = [t[i] for i in order]
+                adj[:] = _reordered(adj, order)
+        state.gram[:] = self.gram
+        state.r = self.r
+        state.s = self.s

@@ -97,8 +97,18 @@ def _jint(v: int):
 _BIGINT = re.compile(r"-?[0-9]+")
 
 
+def _integral(v):
+    """int(v) for a float with no fractional part, else v unchanged.
+
+    Draft-07's "integer" type accepts 3.0, so every report value the schema
+    types integer or bigint is read through here.
+    """
+    return int(v) if isinstance(v, float) and v.is_integer() else v
+
+
 def _unjint(v) -> int:
     """Inverse of _jint; accepts exactly the schema's bigint, else ValueError."""
+    v = _integral(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str) and _BIGINT.fullmatch(v):
@@ -157,6 +167,10 @@ REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
                "transform", "timings", "verified")
 OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
 
+#: the reduce document's values the schema types integer, as dotted paths
+#: (the bigints are read by _unjint)
+_INTEGER_PATHS = ("cycles", "input.dim", "options.method", "options.max_cycles")
+
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 _BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
 
@@ -197,6 +211,13 @@ def report_from_document(doc) -> ReductionReport:
         missing += ["options." + k for k in OPTION_KEYS if k not in opts]
     if missing:
         raise ValueError("missing required keys: " + ", ".join(missing))
+    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
+    for path in _INTEGER_PATHS:
+        outer, _, key = path.rpartition(".")
+        owner = doc[outer] if outer else doc
+        if isinstance(owner, dict) and key in owner:
+            owner[key] = _integral(owner[key])
+    opts = doc["options"]
     for key, (valid, name) in _TYPED_KEYS.items():
         if not valid(doc[key]):
             raise ValueError("%s is %r, expected %s" % (key, doc[key], name))

@@ -344,7 +344,9 @@ def lattice_equal(a, b):
     """
     ar = _as_rows(a)
     br = _as_rows(b)
-    if len(ar) != len(br) or len(ar[0]) != len(br[0]):
+    if not ar or not br:
+        raise DimensionMismatchError("empty basis")
+    if len(ar) != len(br) or any(len(r) != len(br[0]) for r in ar):
         raise DimensionMismatchError("bases of different shapes")
     if det(br) == 0:
         raise SingularBasisError("second basis is singular")

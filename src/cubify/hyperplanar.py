@@ -19,28 +19,33 @@ is the package's one shear computation: the adjugate is computed once per
 pass by a fraction-free solve, and a screening builds no normal vector,
 rational gap or linear solve.  Trace records of accepted shears take the
 hyperplane's primitive normal from the same dual row.
+
+A screening copies only the Gram matrix and x's adjugate row into a
+Candidate (see _state.py); neither the transform nor the rest of the
+adjugate is copied or updated unless the screening is accepted, when the
+candidate's steps are replayed into the state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._state import BasisState
+from ._state import BasisState, Candidate
 from .directional import Variant, _lagrange
 from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
 
 
-def _shear_coeffs(adj, i):
+def _shear_coeffs(arow, i):
     """round(adj_it / adj_ii) for every row t != i, in row order.
 
-    These are the coordinates of -proj(b_i) over the other rows, read off
-    the adjugate of the metric tensor; adj_ii = det(G)·(G⁻¹)_ii is
-    positive, and each ratio is rounded half to even like nearest_int.
+    arow is row i of the adjugate of the metric tensor; its entries are
+    det(G) times the coordinates of -proj(b_i) over the other rows, and
+    adj_ii = det(G)·(G⁻¹)_ii is positive.  Each ratio is rounded half to
+    even like nearest_int.
     """
-    row = adj[i]
-    d = row[i]
+    d = arow[i]
     assert d > 0
-    return [_round_ratio(row[t], d) for t in range(len(row)) if t != i]
+    return [_round_ratio(arow[t], d) for t in range(len(arow)) if t != i]
 
 
 @dataclass
@@ -61,30 +66,33 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
-        cand = state.copy()
+        cand = Candidate(state, i)
         if reduce_sublattice:
             # isolate row i last and norm-sort the rest in one permute
             rest.sort(key=lambda t: state.gram[t][t])
             cand.permute(rest + [i])
             _lagrange(cand, m, lagrange_variant)
-            target, srcs = m, range(m)
+            srcs = range(m)
         else:
-            # the shear reads row i in place; only an accepted
-            # candidate moves it last
-            target, srcs = i, rest
-        for c, t in zip(_shear_coeffs(cand.adj, target), srcs):
+            # the shear reads row i in place; the state moves it last
+            # only once the screening is accepted
+            srcs = rest
+        target = cand.pos
+        for c, t in zip(_shear_coeffs(cand.arow, target), srcs):
             if c:
                 cand.replace(target, c, t)
         if cand.r < state.r:
+            before = tuple(state.row(i)) if trace is not None else None
+            cand.replay(state)
             if not reduce_sublattice:
-                cand.permute(rest + [i])
+                state.permute(rest + [i])
             if trace is not None:
                 # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]
-                dual = _matmul(_matmul([cand.adj[m]], cand.trans), cand.base)
+                dual = _matmul(_matmul([state.adj[m]], state.trans),
+                               state.base)
                 trace.append(AcceptedShear(normal=_primitive(dual[0]),
-                                           before=tuple(state.row(i)),
-                                           after=tuple(cand.row(m))))
-            state.adopt(cand)
+                                           before=before,
+                                           after=tuple(state.row(m))))
             i = 0
         else:
             i += 1

@@ -375,7 +375,7 @@ def test_verify_rejects_non_object_report(tmp_path, capsys):
     assert "not a JSON object" in cap.err
 
 
-@pytest.mark.parametrize("key, value", [("r_in", [1]), ("r_in", 1.0),
+@pytest.mark.parametrize("key, value", [("r_in", [1]), ("r_in", 1.5),
                                         ("r_in", True), ("r_in", "1_000"),
                                         ("cycles", None)])
 def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
@@ -408,9 +408,29 @@ def test_verify_rejects_a_field_the_schema_rejects(tmp_path, capsys, key, value)
     assert "malformed report" in cap.err
 
 
+@pytest.mark.parametrize("key", ["cycles", "input.dim", "options.max_cycles",
+                                 "options.method", "r_in"])
+def test_verify_reads_an_integral_float_the_schema_accepts(tmp_path, capsys,
+                                                            key):
+    # draft-07's integer type (and so the bigint) accepts 3.0 as well as 3
+    def edit(doc):
+        outer, _, inner = key.partition(".")
+        owner = doc[outer] if inner else doc
+        name = inner or outer
+        owner[name] = float(owner[name])
+        assert isinstance(owner[name], float)
+        check_schema(doc)
+        return doc
+
+    code, cap = _verify_edited_report(tmp_path, capsys, edit)
+    assert code == 0
+    assert cap.out.strip() == "ok"
+
+
 def test_unjint_accepts_exactly_the_schema_bigint():
     assert _unjint(-12) == -12
     assert _unjint("-12") == -12
+    assert _unjint(-12.0) == -12 and isinstance(_unjint(-12.0), int)
     for bad in (False, 1.5, [1], None, "+1", " 1", "1_000", "١"):
         with pytest.raises(ValueError):
             _unjint(bad)

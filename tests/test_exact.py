@@ -273,6 +273,14 @@ def test_lattice_equal_singular_second_argument():
         lattice_equal(((1, 0), (0, 1)), ((1, 2), (2, 4)))
 
 
+@pytest.mark.parametrize("a, b", [((), ()), ((), ((1,),)), (((1,),), ()),
+                                  (((1, 0), (0, 1)), ((1,),)),
+                                  (((1, 0), (0,)), ((1, 0), (0, 1)))])
+def test_lattice_equal_rejects_empty_or_mismatched_bases(a, b):
+    with pytest.raises(DimensionMismatchError):
+        lattice_equal(a, b)
+
+
 ENTRIES = {"small": st.integers(-6, 6),
            "30 digits": st.integers(-10 ** 30, 10 ** 30)}
 

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cubify import (Variant, directional_reduction, dot, hyperplane_normal,
+from cubify import (Basis, Variant, directional_reduction, dot, hyperplane_normal,
                     hyperplanar_pass, lattice_equal, metric_tensor, rhombicity,
                     solve_in_sublattice)
-from cubify._state import BasisState
+from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate
-from cubify.hyperplanar import _shear_coeffs
+from cubify.hyperplanar import _hyperplanar, _shear_coeffs
 
 from _helpers import random_basis, random_unimodular
 from conftest import B_EXAMPLE
@@ -27,7 +27,7 @@ def shear(isolated, sub):
     state = BasisState(list(sub) + [isolated])
     state.adj = _adjugate(state.gram)
     m = len(sub)
-    for c, t in zip(_shear_coeffs(state.adj, m), range(m)):
+    for c, t in zip(_shear_coeffs(state.adj[m], m), range(m)):
         if c:
             state.replace(m, c, t)
     assert state.consistent()
@@ -193,27 +193,44 @@ def test_pass_without_sublattice_reduction():
 def test_trace_normal_is_the_accepted_sublattice_normal(
         monkeypatch, variant, reduce_sublattice):
     # the record's normal comes from the carried adjugate; it must be the
-    # primitive normal of the rows the accepted candidate keeps before the
-    # sheared one, which the pass hands to adopt right after recording it
-    adopted = []
-    adopt = BasisState.adopt
+    # primitive normal of the rows the state keeps before the sheared one
+    # once the accepted candidate is replayed into it, which the pass
+    # finishes before it appends the record
+    replays = []
+    replay = Candidate.replay
 
-    def recording(self, other):
-        adopted.append(other.rows)
-        adopt(self, other)
+    def counting(self, state):
+        replays.append(self)
+        replay(self, state)
 
-    monkeypatch.setattr(BasisState, "adopt", recording)
+    monkeypatch.setattr(Candidate, "replay", counting)
+
+    class Adopted(list):
+        """Keeps the state's rows at each record the pass appends."""
+
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+
+        def append(self, rec):
+            super().append(rec)
+            self.rows.append(state.rows)
+
     rng = random.Random(241)
     records = 0
     for _ in range(12):
         n = rng.randrange(2, 8)
         b = random_basis(n, rng, lo=-30, hi=30)
-        trace = []
-        adopted.clear()
-        hyperplanar_pass(b, variant, reduce_sublattice=reduce_sublattice,
-                         trace=trace)
-        assert len(trace) == len(adopted)
-        for rec, rows in zip(trace, adopted):
+        expected = hyperplanar_pass(b, variant,
+                                    reduce_sublattice=reduce_sublattice)
+        state = BasisState(b)
+        trace = Adopted()
+        replays.clear()
+        _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice,
+                     trace=trace)
+        assert Basis(state.rows) == expected
+        assert len(trace) == len(replays) == len(trace.rows)
+        for rec, rows in zip(trace, trace.rows):
             assert rec.normal == hyperplane_normal(rows[:-1])
             assert rec.after == tuple(rows[-1])
             assert dot(rec.normal, rec.before) == dot(rec.normal, rec.after)
