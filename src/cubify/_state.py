@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .exact import _adjugate, _matmul, dot
+from .exact import _adjugate, _matmul, metric_tensor
 
 
 def _reordered(m, order):
@@ -54,8 +54,7 @@ class BasisState:
         self.base = tuple(tuple(r) for r in rows)
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.gram = [[dot(self.base[i], self.base[j]) for j in range(n)]
-                     for i in range(n)]
+        self.gram = [list(row) for row in metric_tensor(self.base)]
         self.r = sum(abs(x) for row in self.gram for x in row)
         self.s = sum(self.gram[i][i] for i in range(n))
         self.adj = None

@@ -41,6 +41,10 @@ class MatrixParseError(ValueError):
         super().__init__(message)
 
 
+_TOKEN = re.compile(r"\S+")
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_matrix_text(text) -> list:
     """Rows of ints from matrix text; raises MatrixParseError with position."""
     rows = []
@@ -50,12 +54,16 @@ def parse_matrix_text(text) -> list:
         if not line or line.startswith("#"):
             continue
         row = []
-        for tok in line.split():
+        for tok in _TOKEN.finditer(raw):
+            # int() alone would also take '1_0' and non-ASCII digits; it
+            # raises by itself past the interpreter's digit limit
             try:
-                row.append(int(tok, 10))
+                if not _DECIMAL.fullmatch(tok[0]):
+                    raise ValueError
+                row.append(int(tok[0]))
             except ValueError:
-                raise MatrixParseError("not an integer: %r" % tok,
-                                       lineno, raw.index(tok) + 1) from None
+                raise MatrixParseError("not an integer: %r" % tok[0],
+                                       lineno, tok.start() + 1) from None
         if width is None:
             width = len(row)
         elif len(row) != width:

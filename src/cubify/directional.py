@@ -8,6 +8,14 @@ rhombicity strictly drops.  Both come in two placement variants:
   append - changed vectors go to the end of the list, order otherwise kept
   insert - changed vectors take over a position (division: the shorter
            vector's slot); simplification re-sorts by norm after each change
+
+Both sweep until a full sweep changes nothing, so most visits find a pair
+that does not step, and they are kept cheap.  Division tests a pair's
+fixpoint inline: the rounded quotient (half to even) is zero exactly when
+2|g_ij| <= min(g_ii, g_jj), so only a pair that steps picks its divisor
+and rounds.  Simplification scores each unordered pair at most once
+between two accepted changes: on an unchanged state the visit (j, i) would
+pick the same divisor and remainder as (i, j) and reach the same verdict.
 """
 
 from __future__ import annotations
@@ -41,13 +49,18 @@ def _lagrange(state, m, variant):
     while changed:
         changed = False
         for i in range(m):
+            g = state.gram
+            gi = g[i]
+            di = gi[i]
             for j in range(m):
                 if i == j:
                     continue
-                u, v = _roles(state, i, j)
-                k = _round_ratio(state.gram[u][v], state.gram[u][u])
-                if k == 0:
+                # the fixpoint test, without _roles and _round_ratio
+                dj = g[j][j]
+                if 2 * abs(gi[j]) <= (di if di < dj else dj):
                     continue
+                u, v = _roles(state, i, j)
+                k = _round_ratio(g[u][v], g[u][u])
                 state.replace(v, -k, u)
                 if variant is Variant.APPEND:
                     # drop both, append the remainder then the divisor
@@ -59,6 +72,10 @@ def _lagrange(state, m, variant):
                     # moves to v
                     state.swap(u, v)
                 changed = True
+                # the step rebuilt row v and may have moved every row
+                g = state.gram
+                gi = g[i]
+                di = gi[i]
 
 
 def _sign(x):
@@ -71,9 +88,14 @@ def _simplify(state, variant):
     changed = True
     while changed:
         changed = False
+        # visit number i·n + j of the sweep's last accepted change
+        last = -1
         for i in range(n):
             for j in range(n):
                 if i == j:
+                    continue
+                if j < i and last < j * n + i:
+                    # (j, i) was scored on this same state and rejected
                     continue
                 u, v = _roles(state, i, j)
                 s = _sign(state.gram[u][v])
@@ -96,6 +118,7 @@ def _simplify(state, variant):
                     state.permute([t for t in range(n) if t != target] + [target])
                 else:
                     state.sort_by_norm()
+                last = i * n + j
                 changed = True
 
 

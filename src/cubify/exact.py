@@ -93,7 +93,7 @@ def dot(u, v) -> int:
     if len(u) != len(v):
         raise DimensionMismatchError("dot of vectors with lengths %d and %d"
                                      % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
 def metric_tensor(b):

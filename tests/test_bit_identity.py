@@ -5,18 +5,21 @@ cubify(b) with automatic options.  The inputs cover every auto option set
 the classifier picks on them: het20 (pre-hyperplanar pass, insert
 variants), full and columnar (0, 100) draws (method 2, append variants), a
 300-digit columnar draw (method 1, insert variants) and a columnar n = 16
-draw (method 1, append division, insert simplification).  One more digest
-covers a full n = 10 draw under all 16 explicit option sets.  A digest
-changes only when the reduction takes a different path, so a change here
-needs a stated reason, not an updated constant.
+draw (method 1, append division, insert simplification).  Two more pin
+het20 as perfbench's het20 workload feeds it: rows permuted and signed by
+random.Random(1), matrices 0 and 1.  One more digest covers a full n = 10
+draw under all 16 explicit option sets.  A digest changes only when the
+reduction takes a different path, so a change here needs a stated reason,
+not an updated constant.
 """
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from cubify import CubifyOptions, GeneratorSpec, Variant, cubify, generate
+from cubify import Basis, CubifyOptions, GeneratorSpec, Variant, cubify, generate
 from cubify.cli import load_matrix
 
 from _helpers import DATA
@@ -33,9 +36,27 @@ PINNED = {
     "columnar-16": "3d10c77923cf18f1e9e388754ebd2b376f2a96a47ab44a184dd581009a77a821",
 }
 
+#: matrices 0 and 1 of perfbench's het20 workload at seed 1
+HET20_PERMUTED = {
+    0: "428486b464a8f673329d20eb20a3608a5acbd95b9d833da93104cd1f2aec3ca1",
+    1: "7873fead8dd0ab9ebdb4ffbb6eca44c06b3d0a0be8f22a2b2aa909b8865c3eea",
+}
+
 #: full n = 10, entries in (-1000, 1000), seed 10, under every explicit
 #: combination of method, both variants and the pre-hyperplanar pass
 ALL_OPTIONS = "8727c1307477dd874e7721808722e9b59b6b1817c534396278ce691aacda941a"
+
+
+def _het20_permuted(i):
+    """Matrix i of perfbench's het20 workload at seed 1: rows of the file
+    permuted and signed by random.Random(1)."""
+    base = load_matrix(DATA / "heterogeneous_20x20.txt").rows
+    n = len(base)
+    rng = random.Random(1)
+    for _ in range(i + 1):
+        order = rng.sample(range(n), n)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+    return Basis([[s * x for x in base[k]] for k, s in zip(order, signs)])
 
 
 def _input(name):
@@ -50,11 +71,20 @@ def _input(name):
     return generate(GeneratorSpec(family, int(n), (0, 100), seed=int(n)))
 
 
+def _digest(b):
+    reduced, report = cubify(b)
+    text = repr((reduced.rows, report.transform, tuple(report.r_history)))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_cubify_output_digest_is_pinned(name):
-    reduced, report = cubify(_input(name))
-    text = repr((reduced.rows, report.transform, tuple(report.r_history)))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name]
+    assert _digest(_input(name)) == PINNED[name]
+
+
+@pytest.mark.parametrize("i", sorted(HET20_PERMUTED))
+def test_permuted_het20_digest_is_pinned(i):
+    assert _digest(_het20_permuted(i)) == HET20_PERMUTED[i]
 
 
 def test_every_explicit_option_set_is_pinned():

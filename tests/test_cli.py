@@ -51,6 +51,13 @@ def test_parse_bad_token_position():
     assert "line 2, column 3" in str(exc.value)
 
 
+def test_parse_bad_token_column_is_its_own():
+    # the bad '-' also occurs inside the good '-1' before it
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_text("1 0\n-1 -\n")
+    assert (exc.value.line, exc.value.column) == (2, 4)
+
+
 def test_parse_ragged_rows():
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix_text("1 2\n3\n")
@@ -182,6 +189,24 @@ def test_reduce_parse_error_exit(tmp_path, capsys):
     path.write_text("1 2\n3 oops\n")
     assert main(["reduce", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("1_0 0\n0 1\n", 1, 1),      # int() reads this as 10
+    ("1 0\n0 \u0661\n", 2, 3),  # ARABIC-INDIC DIGIT ONE
+    ("\u0663\u0663 0\n0 1\n", 1, 1),
+])
+def test_reduce_rejects_tokens_that_are_not_ascii_decimals(tmp_path, capsys,
+                                                           text, line, column):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["reduce", str(path)]) == 1
+    assert "line %d, column %d: not an integer" % (line, column) \
+        in capsys.readouterr().err
+
+
+def test_parse_takes_signed_ascii_decimals():
+    assert parse_matrix_text("+1 -2\n-03 4\n") == [[1, -2], [-3, 4]]
 
 
 def test_reduce_singular_exit(tmp_path, capsys):

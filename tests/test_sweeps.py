@@ -1,0 +1,247 @@
+"""The sweep loops skip only work that cannot change the result.
+
+_lagrange tests each pair's fixpoint inline (2|g_ij| <= min(g_ii, g_jj))
+and rounds a quotient only for a pair that steps; _simplify scores each
+unordered pair at most once between two accepted changes.  Both must take
+exactly the steps of the plain loops below, which evaluate every ordered
+pair in every sweep, and must leave the same state.  The counter tests pin
+the work saved in operation counts, not in seconds.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from cubify import GeneratorSpec, Variant, det, generate
+from cubify import directional
+from cubify._state import BasisState, Candidate
+from cubify.directional import _lagrange, _roles, _sign, _simplify
+from cubify.exact import _adjugate, _round_ratio
+
+SMALL = st.integers(-9, 9)
+BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                st.integers(10 ** 99, 10 ** 100 - 1))
+ENTRIES = {"small": SMALL, "big": BIG}
+
+
+@st.composite
+def bases(draw, dims=st.integers(1, 8)):
+    n = draw(dims)
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    return rows
+
+
+# -- the plain loops: every ordered pair, every sweep ----------------------
+
+def plain_lagrange(state, m, variant):
+    """Division sweeps over rows[:m] until every rounded quotient is zero."""
+    n = len(state.gram)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                u, v = _roles(state, i, j)
+                k = _round_ratio(state.gram[u][v], state.gram[u][u])
+                if k == 0:
+                    continue
+                state.replace(v, -k, u)
+                if variant is Variant.APPEND:
+                    # drop both, append the remainder then the divisor
+                    order = [t for t in range(m) if t not in (u, v)] + [v, u]
+                    order += range(m, n)
+                    state.permute(order)
+                elif state.gram[v][v] <= state.gram[u][u]:
+                    # the remainder takes the divisor's slot, the divisor
+                    # moves to v
+                    state.swap(u, v)
+                changed = True
+
+
+def plain_simplify(state, variant):
+    """Single-step combinations accepted only on strict rhombicity decrease."""
+    n = len(state.gram)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                u, v = _roles(state, i, j)
+                s = _sign(state.gram[u][v])
+                if s == 0:
+                    continue
+                # the remainder v - s·u replaces row u or row v; in u's slot
+                # it is -s·(u - s·v), whose scalar products differ from
+                # those of u - s·v only in sign, so R is the same
+                if state.r_after(u, -s, v) < state.r:
+                    target = u
+                    state.replace(u, -s, v)
+                    if s > 0:
+                        state.negate(u)
+                elif state.r_after(v, -s, u) < state.r:
+                    target = v
+                    state.replace(v, -s, u)
+                else:
+                    continue
+                if variant is Variant.APPEND:
+                    state.permute([t for t in range(n) if t != target] + [target])
+                else:
+                    state.sort_by_norm()
+                changed = True
+
+
+# -- states that log every row operation they take --------------------------
+
+class _Logged:
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = []
+
+    def replace(self, idx, k, src):
+        self.calls.append(("replace", idx, k, src))
+        super().replace(idx, k, src)
+
+    def swap(self, a, b):
+        self.calls.append(("swap", a, b))
+        super().swap(a, b)
+
+    def negate(self, idx):
+        self.calls.append(("negate", idx))
+        super().negate(idx)
+
+    def permute(self, order):
+        self.calls.append(("permute", tuple(order)))
+        super().permute(order)
+
+
+class LoggedState(_Logged, BasisState):
+    pass
+
+
+class LoggedCandidate(_Logged, Candidate):
+    pass
+
+
+def _state_pair(rows):
+    """Two equal logged states of rows, with the adjugate set."""
+    pair = []
+    for _ in range(2):
+        state = LoggedState(rows)
+        state.adj = _adjugate(state.gram)
+        pair.append(state)
+    return pair
+
+
+def _full(state):
+    return state.calls, state.trans, state.gram, state.r, state.s, state.adj
+
+
+def _trial(cand):
+    return cand.calls, cand.log, cand.gram, cand.r, cand.s, cand.arow, cand.pos
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=bases(), variant=st.sampled_from(Variant))
+def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
+    new, plain = _state_pair(rows)
+    _lagrange(new, len(rows), variant)
+    plain_lagrange(plain, len(rows), variant)
+    assert _full(new) == _full(plain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=bases(st.integers(2, 8)), variant=st.sampled_from(Variant),
+       data=st.data())
+def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
+                                                             data):
+    # as a screening does: isolate one row last, reduce the other m = n - 1
+    n = len(rows)
+    pos = data.draw(st.integers(0, n - 1), label="pos")
+    rest = data.draw(st.permutations([t for t in range(n) if t != pos]),
+                     label="rest")
+    state = BasisState(rows)
+    state.adj = _adjugate(state.gram)
+    new, plain = LoggedCandidate(state, pos), LoggedCandidate(state, pos)
+    for cand in (new, plain):
+        cand.permute(rest + [pos])
+    _lagrange(new, n - 1, variant)
+    plain_lagrange(plain, n - 1, variant)
+    assert _trial(new) == _trial(plain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=bases(), lagrange=st.sampled_from(Variant),
+       variant=st.sampled_from(Variant))
+def test_simplify_takes_the_plain_loops_steps(rows, lagrange, variant):
+    # divided first, as the directional pass does: simplification alone on
+    # an unreduced 100-digit basis is a subtractive Euclid
+    new, plain = _state_pair(rows)
+    for state in (new, plain):
+        _lagrange(state, len(rows), lagrange)
+        state.calls.clear()
+    _simplify(new, variant)
+    plain_simplify(plain, variant)
+    assert _full(new) == _full(plain)
+
+
+@pytest.mark.parametrize("x, a, b", [
+    (1, 2, 2), (-1, 2, 2),          # ratio ±1/2 rounds to 0 (half to even)
+    (3, 2, 5), (-3, 2, 5),          # ratio ±3/2 rounds to ±2
+    (2, 2, 2), (-2, 2, 2),          # equal norms, ratio ±1
+    (5, 10, 10), (6, 10, 10),
+    (-5, 10, 7), (-4, 10, 7), (-3, 10, 7),   # negative products
+    (0, 1, 1), (1, 1, 1), (-1, 3, 1),
+    (10 ** 100, 2 * 10 ** 100, 3 * 10 ** 100),
+    (10 ** 100 + 1, 2 * 10 ** 100, 3 * 10 ** 100),
+])
+def test_inline_fixpoint_test_agrees_with_the_rounded_quotient(x, a, b):
+    assert (2 * abs(x) <= min(a, b)) == (_round_ratio(x, min(a, b)) == 0)
+
+
+# -- the work a fixpoint sweep does, in operation counts --------------------
+
+def _counted(monkeypatch, owner, name):
+    calls = []
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_reduced_state_takes_no_rounded_quotient(monkeypatch, variant):
+    state = BasisState(generate(GeneratorSpec("full", 10, (0, 100), seed=3)))
+    _lagrange(state, 10, variant)
+    before = state.copy()
+    calls = _counted(monkeypatch, directional, "_round_ratio")
+    _lagrange(state, 10, variant)
+    assert calls == []
+    assert state.trans == before.trans and state.gram == before.gram
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_simplified_state_scores_each_pair_once(monkeypatch, variant):
+    n = 10
+    state = BasisState(generate(GeneratorSpec("full", n, (0, 100), seed=3)))
+    _lagrange(state, n, Variant.INSERT)
+    _simplify(state, variant)
+    before = state.copy()
+    nonzero = sum(1 for i in range(n) for j in range(i)
+                  if state.gram[i][j] != 0)
+    # scoring both (i, j) and (j, i) would cost 4·nonzero > n·(n - 1)
+    assert 4 * nonzero > n * (n - 1)
+    calls = _counted(monkeypatch, BasisState, "r_after")
+    _simplify(state, variant)
+    assert len(calls) <= n * (n - 1)
+    assert state.trans == before.trans and state.gram == before.gram
