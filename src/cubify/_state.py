@@ -9,9 +9,9 @@ rows are trans · base; no pass reads them, so they are formed on demand
 Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
 another, swap exchanges two rows, negate flips one, all in O(N); permute
-reorders all rows at once.  r_after(idx, k, src) evaluates a replace
-without applying it.  No code outside this module updates trans, gram, r,
-s or adj.
+reorders all rows at once.  pair_r(u, v, s) scores the two replaces a
+simplification step chooses between without applying either.  No code
+outside this module updates trans, gram, r, s or adj.
 
 The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
 metric tensor, and clears it when it ends.  Unimodular row operations leave
@@ -102,9 +102,23 @@ class BasisState:
              + 2 * sum(map(abs, dots)) - dots[idx])
         return dots, r
 
-    def r_after(self, idx, k, src):
-        """The rhombicity replace(idx, k, src) would leave."""
-        return self._combined(idx, k, src)[1]
+    def pair_r(self, u, v, s):
+        """The rhombicities replace(u, -s, v) and replace(v, -s, u) would
+        leave, for s = ±1, in O(N).
+
+        The new rows u - s·v and v - s·u = -s·(u - s·v) are one vector up
+        to sign: both have the scalar products D_t = g_ut - s·g_vt up to
+        sign and the norm D_u - s·D_v.  The two scores differ only in the
+        old row whose weight leaves r and the entry of D the norm replaces.
+        """
+        g = self.gram
+        gu, gv = g[u], g[v]
+        d = [a - s * b for a, b in zip(gu, gv)]
+        du, dv = abs(d[u]), abs(d[v])
+        # a row's weight in r: off-diagonal entries count twice
+        new = self.r + 2 * sum(map(abs, d)) + d[u] - s * d[v]
+        return (new - 2 * (sum(map(abs, gu)) + du) + gu[u],
+                new - 2 * (sum(map(abs, gv)) + dv) + gv[v])
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx), in O(N).
@@ -153,11 +167,15 @@ class BasisState:
         if self.adj is not None:
             self.adj[:] = _reordered(self.adj, order)
 
+    def norm_order(self):
+        """Row indices by squared norm, ties in position order."""
+        g = self.gram
+        return sorted(range(len(g)), key=lambda i: g[i][i])
+
     def sort_by_norm(self):
         """Stable sort of the rows by squared norm; r and s are unchanged."""
-        n = len(self.gram)
-        order = sorted(range(n), key=lambda i: self.gram[i][i])
-        if order != list(range(n)):
+        order = self.norm_order()
+        if order != list(range(len(order))):
             self.permute(order)
 
     # -- checks used by tests and debug asserts --

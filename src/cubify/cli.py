@@ -6,8 +6,10 @@ output carries {"schema": "cubify-report/1"} and serializes integers beyond
 the 53-bit safe range as decimal strings so consumers in double-precision
 JSON land never lose digits.
 
-Exit codes: 0 success, 1 parse error, 2 singular input (or argparse usage
-error), 3 generation failure, 4 verification failure.
+Exit codes: 0 success, 1 parse error or a file that cannot be read or
+written (including non-UTF-8 text and JSON nested too deeply to load),
+2 singular input (or argparse usage error), 3 generation failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import sys
 
@@ -84,7 +87,7 @@ def load_matrix(path) -> Basis:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MatrixParseError("cannot read %s: %s" % (path, exc)) from None
     return Basis(parse_matrix_text(text))
 
@@ -270,10 +273,17 @@ def _resolve_options(args, basis):
 def cmd_reduce(args) -> int:
     basis = load_matrix(args.input)
     options = _resolve_options(args, basis)
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # fail before the reduction, not after it
+        raise MatrixParseError("cannot write %s: no such directory" % args.out)
     reduced, report = cubify(basis, options, large_dim=args.large_dim)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_matrix(reduced))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(format_matrix(reduced))
+        except OSError as exc:
+            raise MatrixParseError("cannot write %s: %s" % (args.out, exc)) \
+                from None
     doc = report_document(report, basis, path=args.input)
     if args.json:
         _emit(doc, True)
@@ -360,7 +370,9 @@ def cmd_verify(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as exc:
+        # the decoder recurses once per nesting level
         raise MatrixParseError("cannot read report %s: %s" % (args.report, exc)) \
             from None
     try:

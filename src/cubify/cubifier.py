@@ -10,6 +10,26 @@ decrease the pre-cycle list is returned.  Near-identity matrices with one
 heavy column respond best to method 1, matrices dense with large entries to
 method 2, and matrices mixing a heavy column with dense heavy rows get one
 extra hyperplanar pass (without sublattice reduction) up front.
+
+A hyperplanar phase is skipped when the state's transform rows, taken in
+norm order (ties by position), equal those the previous sublattice pass
+ended on (settled).  The skip is exact:
+
+- a pass ends only after a full round in which every screening was
+  rejected;
+- a screening of row x builds its candidate from the other rows stably
+  sorted by norm, x's adjugate row permuted to match, and r, which does
+  not depend on row order;
+- adj(P·G·Pᵀ) = P·adj(G)·Pᵀ for a permutation P, so a state whose rows in
+  norm order equal settled gives every row the candidate it got before,
+  and the same rejection: the pass would change nothing.
+
+Comparing transform rows rather than Gram entries makes equality mean
+identical rows; it costs O(N²) per phase.  Method 2's first phase of a
+cycle is skipped whenever the previous cycle ended on a pass, and so is
+any phase after a directional phase that only reordered rows.  The
+pre-pass (no sublattice reduction) screens other candidates, so it
+neither reads nor sets settled.
 """
 
 from __future__ import annotations
@@ -67,6 +87,12 @@ def classify(b, *, large_dim=LARGE_DIM) -> MatrixClass:
     if row_hit:
         return MatrixClass.LARGE_HETEROGENEOUS
     return MatrixClass.LARGE_COLUMNAR
+
+
+def _norm_rows(state):
+    """The transform rows in norm order, ties by position (see above)."""
+    t = state.trans
+    return [tuple(t[i]) for i in state.norm_order()]
 
 
 def _is_int(x):
@@ -157,9 +183,14 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
         _simplify(state, opts.simplification)
         timings["directional"] += time.perf_counter() - t0
 
+    settled = None
+
     def hyperplanar_phase():
+        nonlocal settled
         t0 = time.perf_counter()
-        _hyperplanar(state, opts.lagrange)
+        if _norm_rows(state) != settled:
+            _hyperplanar(state, opts.lagrange)
+            settled = _norm_rows(state)
         timings["hyperplanar"] += time.perf_counter() - t0
 
     r_history = [state.r]

@@ -16,6 +16,8 @@ fixpoint inline: the rounded quotient (half to even) is zero exactly when
 and rounds.  Simplification scores each unordered pair at most once
 between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
+Both placements of a pair's remainder are scored together
+(BasisState.pair_r), from the scalar products they share.
 """
 
 from __future__ import annotations
@@ -104,12 +106,13 @@ def _simplify(state, variant):
                 # the remainder v - s·u replaces row u or row v; in u's slot
                 # it is -s·(u - s·v), whose scalar products differ from
                 # those of u - s·v only in sign, so R is the same
-                if state.r_after(u, -s, v) < state.r:
+                r_u, r_v = state.pair_r(u, v, s)
+                if r_u < state.r:
                     target = u
                     state.replace(u, -s, v)
                     if s > 0:
                         state.negate(u)
-                elif state.r_after(v, -s, u) < state.r:
+                elif r_v < state.r:
                     target = v
                     state.replace(v, -s, u)
                 else:

@@ -4,7 +4,8 @@ BasisState.adj is det(G)·G⁻¹ of the working metric tensor.  permute, swap,
 negate and replace (and so the division steps of _lagrange) update it in
 place instead of recomputing it; after any sequence of them it must equal
 a fresh adjugate, satisfy gram·adj == det(G)·I, and det(G) must not have
-moved.  r_after must predict replace, and a replace must undo exactly.  A
+moved.  pair_r must predict both replaces a simplification step chooses
+between, and a replace must undo exactly.  A
 Candidate, which carries a single adjugate row, must follow the state it
 was made from step for step and replay into it exactly.
 """
@@ -90,18 +91,24 @@ def _snapshot(state):
 
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
-def test_r_after_predicts_replace_and_replace_undoes(rows, data):
+def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
     state = BasisState(rows)
     state.adj = _adjugate(state.gram)
-    idx, src = data.draw(st.permutations(range(len(rows))), label="rows")[:2]
+    u, v = data.draw(st.permutations(range(len(rows))), label="rows")[:2]
+    s = data.draw(st.sampled_from((1, -1)), label="s")
     k = data.draw(st.integers(-5, 5), label="k")
     before = _snapshot(state)
-    predicted = state.r_after(idx, k, src)
+    predicted = state.pair_r(u, v, s)
     assert _snapshot(state) == before
-    state.replace(idx, k, src)
-    assert state.r == predicted
+    for (idx, src), r in zip(((u, v), (v, u)), predicted):
+        state.replace(idx, -s, src)
+        assert state.r == r
+        assert_exact(state, det(before[1]))
+        state.replace(idx, s, src)
+        assert _snapshot(state) == before
+    state.replace(u, k, v)
     assert_exact(state, det(before[1]))
-    state.replace(idx, -k, src)
+    state.replace(u, -k, v)
     assert _snapshot(state) == before
 
 

@@ -7,8 +7,10 @@ variants), full and columnar (0, 100) draws (method 2, append variants), a
 300-digit columnar draw (method 1, insert variants) and a columnar n = 16
 draw (method 1, append division, insert simplification).  Two more pin
 het20 as perfbench's het20 workload feeds it: rows permuted and signed by
-random.Random(1), matrices 0 and 1.  One more digest covers a full n = 10
-draw under all 16 explicit option sets.  A digest changes only when the
+random.Random(1), matrices 0 and 1.  Two pin perfbench's dense-hyp
+workload at seed 1: full n = 12 draws with entries in (0, 100) and
+generator seeds 1_000_000 and 1_000_001.  One more digest covers a full
+n = 10 draw under all 16 explicit option sets.  A digest changes only when the
 reduction takes a different path, so a change here needs a stated reason,
 not an updated constant.
 """
@@ -42,6 +44,12 @@ HET20_PERMUTED = {
     1: "7873fead8dd0ab9ebdb4ffbb6eca44c06b3d0a0be8f22a2b2aa909b8865c3eea",
 }
 
+#: matrices 0 and 1 of perfbench's dense-hyp workload at seed 1
+DENSE_HYP = {
+    0: "4d33b57caa3ade5a01c9d86bbccab76c1922634659dc071f3eecb5c4e4a7634d",
+    1: "b06deb01fab6638fd0e47a8285804f60b41f080f5a94faed4fde7cc651ae549d",
+}
+
 #: full n = 10, entries in (-1000, 1000), seed 10, under every explicit
 #: combination of method, both variants and the pre-hyperplanar pass
 ALL_OPTIONS = "8727c1307477dd874e7721808722e9b59b6b1817c534396278ce691aacda941a"
@@ -57,6 +65,11 @@ def _het20_permuted(i):
         order = rng.sample(range(n), n)
         signs = [rng.choice((1, -1)) for _ in range(n)]
     return Basis([[s * x for x in base[k]] for k, s in zip(order, signs)])
+
+
+def _dense_hyp(i):
+    """Matrix i of perfbench's dense-hyp workload at seed 1."""
+    return generate(GeneratorSpec("full", 12, (0, 100), seed=1_000_000 + i))
 
 
 def _input(name):
@@ -85,6 +98,11 @@ def test_cubify_output_digest_is_pinned(name):
 @pytest.mark.parametrize("i", sorted(HET20_PERMUTED))
 def test_permuted_het20_digest_is_pinned(i):
     assert _digest(_het20_permuted(i)) == HET20_PERMUTED[i]
+
+
+@pytest.mark.parametrize("i", sorted(DENSE_HYP))
+def test_dense_hyp_digest_is_pinned(i):
+    assert _digest(_dense_hyp(i)) == DENSE_HYP[i]
 
 
 def test_every_explicit_option_set_is_pinned():

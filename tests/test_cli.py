@@ -209,6 +209,32 @@ def test_parse_takes_signed_ascii_decimals():
     assert parse_matrix_text("+1 -2\n-03 4\n") == [[1, -2], [-3, 4]]
 
 
+def test_reduce_rejects_a_matrix_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 0\n0 1 \xff\n")
+    assert main(["reduce", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and err.count("\n") == 1
+
+
+def test_reduce_out_into_a_missing_directory_exits_1_before_reducing(
+        tmp_path, capsys, monkeypatch):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    monkeypatch.setattr("cubify.cli.cubify", None)   # never reached
+    out = tmp_path / "missing" / "reduced.txt"
+    assert main(["reduce", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_reduce_out_onto_a_directory_exits_1(tmp_path, capsys):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    assert main(["reduce", path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_reduce_singular_exit(tmp_path, capsys):
     path = write_matrix(tmp_path, ((1, 2), (2, 4)))
     assert main(["reduce", path]) == 2
@@ -352,6 +378,22 @@ def test_verify_malformed_report(tmp_path, capsys):
     in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
     Path(rep_path).write_text("{not json")
     assert main(["verify", in_path, out_path, rep_path]) == 1
+
+
+def test_verify_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
+    in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
+    Path(rep_path).write_bytes(b'{"schema": "\xff"}')
+    assert main(["verify", in_path, out_path, rep_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report") and err.count("\n") == 1
+
+
+def test_verify_rejects_a_report_nested_too_deeply(tmp_path, capsys):
+    in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
+    Path(rep_path).write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["verify", in_path, out_path, rep_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report") and err.count("\n") == 1
 
 
 def test_required_keys_match_the_schema():

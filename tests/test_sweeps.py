@@ -79,12 +79,12 @@ def plain_simplify(state, variant):
                 # the remainder v - s·u replaces row u or row v; in u's slot
                 # it is -s·(u - s·v), whose scalar products differ from
                 # those of u - s·v only in sign, so R is the same
-                if state.r_after(u, -s, v) < state.r:
+                if state._combined(u, -s, v)[1] < state.r:
                     target = u
                     state.replace(u, -s, v)
                     if s > 0:
                         state.negate(u)
-                elif state.r_after(v, -s, u) < state.r:
+                elif state._combined(v, -s, u)[1] < state.r:
                     target = v
                     state.replace(v, -s, u)
                 else:
@@ -239,9 +239,9 @@ def test_a_simplified_state_scores_each_pair_once(monkeypatch, variant):
     before = state.copy()
     nonzero = sum(1 for i in range(n) for j in range(i)
                   if state.gram[i][j] != 0)
-    # scoring both (i, j) and (j, i) would cost 4·nonzero > n·(n - 1)
+    # scoring both (i, j) and (j, i) would cost 2·nonzero > n·(n - 1)/2
     assert 4 * nonzero > n * (n - 1)
-    calls = _counted(monkeypatch, BasisState, "r_after")
+    calls = _counted(monkeypatch, BasisState, "pair_r")
     _simplify(state, variant)
-    assert len(calls) <= n * (n - 1)
+    assert len(calls) <= n * (n - 1) // 2
     assert state.trans == before.trans and state.gram == before.gram
