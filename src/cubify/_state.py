@@ -11,22 +11,18 @@ state owns each one's update: replace(idx, k, src) adds k times one row to
 another, swap exchanges two rows, negate flips one, all in O(N); permute
 reorders all rows at once.  pair_r(u, v, s) scores the two replaces a
 simplification step chooses between without applying either.  No code
-outside this module updates trans, gram, r, s or adj.
+outside this module updates trans, gram, r or s.
 
-The hyperplanar pass also sets adj, the integer adjugate det(G)·G⁻¹ of the
-metric tensor, and clears it when it ends.  Unimodular row operations leave
-det(G) unchanged, so adj stays integral over that one denominator; while it
-is set, every row operation above carries it along.
-
-A screening of that pass copies only gram, r, s and one adjugate row, into
-a Candidate; the state's trans and adj follow only when it is accepted.
+A screening of the hyperplanar pass copies only gram, r, s and one row of
+the pass's adjugate, into a Candidate; the state's trans and the adjugate
+follow only when it is accepted, through Candidate.replay.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .exact import _adjugate, _matmul, metric_tensor
+from .exact import _matmul, metric_tensor
 
 
 def _reordered(m, order):
@@ -48,7 +44,7 @@ def _swap(m, a, b):
 
 class BasisState:
 
-    __slots__ = ("base", "trans", "gram", "r", "s", "adj")
+    __slots__ = ("base", "trans", "gram", "r", "s")
 
     def __init__(self, rows):
         self.base = tuple(tuple(r) for r in rows)
@@ -57,7 +53,6 @@ class BasisState:
         self.gram = [list(row) for row in metric_tensor(self.base)]
         self.r = sum(abs(x) for row in self.gram for x in row)
         self.s = sum(self.gram[i][i] for i in range(n))
-        self.adj = None
 
     @property
     def rows(self):
@@ -75,17 +70,7 @@ class BasisState:
         c.gram = [r[:] for r in self.gram]
         c.r = self.r
         c.s = self.s
-        c.adj = None if self.adj is None else [r[:] for r in self.adj]
         return c
-
-    def adopt(self, other):
-        """Take over another state's contents; list objects are kept alive."""
-        self.base = other.base
-        self.trans[:] = other.trans
-        self.gram[:] = other.gram
-        self.r = other.r
-        self.s = other.s
-        self.adj = other.adj
 
     def _combined(self, idx, k, src):
         """The scalar products of rows[idx] + k·rows[src] and the r it leaves.
@@ -123,10 +108,7 @@ class BasisState:
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx), in O(N).
 
-        Updates transform row idx, row and column idx of gram, r, s and,
-        while set, adj.  The step is T = I + k·E[idx][src], and
-        adj(T·G·Tᵀ) = T⁻ᵀ·adj(G)·T⁻¹: row src takes -k times row idx, then
-        column src takes -k times column idx.
+        Updates transform row idx, row and column idx of gram, r and s.
         """
         dots, self.r = self._combined(idx, k, src)
         g = self.gram
@@ -136,36 +118,26 @@ class BasisState:
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
-        a = self.adj
-        if a is not None:
-            a[src] = [x - k * y for x, y in zip(a[src], a[idx])]
-            for row in a:
-                row[src] -= k * row[idx]
 
     def swap(self, a, b):
         """Exchange rows a and b, in O(N); r and s are unchanged."""
         t = self.trans
         t[a], t[b] = t[b], t[a]
         _swap(self.gram, a, b)
-        if self.adj is not None:
-            _swap(self.adj, a, b)
 
     def negate(self, idx):
         """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
         self.trans[idx] = [-x for x in self.trans[idx]]
-        for m in (self.gram, self.adj):
-            if m is not None:
-                # the diagonal entry flips twice
-                m[idx] = [-x for x in m[idx]]
-                for row in m:
-                    row[idx] = -row[idx]
+        g = self.gram
+        # the diagonal entry flips twice
+        g[idx] = [-x for x in g[idx]]
+        for row in g:
+            row[idx] = -row[idx]
 
     def permute(self, order):
         """Row t becomes the old row order[t]; r and s are unchanged."""
         self.trans[:] = [self.trans[i] for i in order]
         self.gram[:] = _reordered(self.gram, order)
-        if self.adj is not None:
-            self.adj[:] = _reordered(self.adj, order)
 
     def norm_order(self):
         """Row indices by squared norm, ties in position order."""
@@ -181,34 +153,36 @@ class BasisState:
     # -- checks used by tests and debug asserts --
 
     def consistent(self):
-        """Whether gram, r, s and adj match a rebuild from trans · base."""
+        """Whether gram, r and s match a rebuild from trans · base."""
         fresh = BasisState(self.rows)
-        return (fresh.gram == self.gram and fresh.r == self.r
-                and fresh.s == self.s
-                and (self.adj is None or self.adj == _adjugate(fresh.gram)))
+        return (fresh.gram, fresh.r, fresh.s) == (self.gram, self.r, self.s)
 
 
 class Candidate:
     """A trial run of a state's steps that carries one adjugate row.
 
-    Holds copies of the state's gram, r and s, pos (one row's position,
-    which swap and permute move) and arow, the adjugate row at pos.  It
-    takes replace, swap and permute like BasisState, so a pass runs on it
-    unchanged, and logs them instead of updating trans and adj.  Under
-    replace(idx, k, src), adj becomes T⁻ᵀ·adj·T⁻¹, whose row pos differs
-    only in entry src, by -k times entry idx, as long as src != pos.
+    adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
+    which the hyperplanar pass holds.  A Candidate holds copies of the
+    state's gram, r and s, pos (one row's position, which swap and permute
+    move) and arow, the adjugate row at pos.  It takes replace, swap and
+    permute like BasisState, so a pass runs on it unchanged, and logs them
+    instead of updating trans and adj.  Unimodular steps leave det(G)
+    unchanged, so adj stays integral over that one denominator: under
+    replace(idx, k, src), with T = I + k·E[idx][src], adj becomes
+    adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose row pos differs only in entry src, by
+    -k times entry idx, as long as src != pos.
     """
 
     __slots__ = ("gram", "r", "s", "pos", "arow", "log")
 
     _combined = BasisState._combined
 
-    def __init__(self, state, pos):
+    def __init__(self, state, adj, pos):
         self.gram = [r[:] for r in state.gram]
         self.r = state.r
         self.s = state.s
         self.pos = pos
-        self.arow = state.adj[pos][:]
+        self.arow = adj[pos][:]
         self.log = []
 
     def replace(self, idx, k, src):
@@ -238,13 +212,16 @@ class Candidate:
         self.pos = order.index(self.pos)
         self.log.append(("permute", order))
 
-    def replay(self, state):
-        """Give state this gram, r and s, and apply the log to trans and adj.
+    def replay(self, state, adj):
+        """Give state this gram, r and s, and apply the log to state.trans
+        and to adj in place.
 
-        state must be the one the candidate was made from, unchanged since;
-        no Gram entry is computed a second time.
+        state and adj must be the ones the candidate was made from,
+        unchanged since; no Gram entry is computed a second time.  A
+        replace moves row src of adj by -k times row idx, then column src
+        by -k times column idx.
         """
-        t, adj = state.trans, state.adj
+        t = state.trans
         for op, *args in self.log:
             if op == "replace":
                 idx, k, src = args

@@ -7,7 +7,8 @@ the 53-bit safe range as decimal strings so consumers in double-precision
 JSON land never lose digits.
 
 Exit codes: 0 success, 1 parse error or a file that cannot be read or
-written (including non-UTF-8 text and JSON nested too deeply to load),
+written (including non-UTF-8 text and JSON nested too deeply to load) or
+an output integer longer than the interpreter's int-to-str digit limit,
 2 singular input (or argparse usage error), 3 generation failure,
 4 verification failure.
 """
@@ -277,14 +278,16 @@ def cmd_reduce(args) -> int:
         # fail before the reduction, not after it
         raise MatrixParseError("cannot write %s: no such directory" % args.out)
     reduced, report = cubify(basis, options, large_dim=args.large_dim)
+    # format every integer before writing anything
+    matrix = format_matrix(reduced)
+    doc = report_document(report, basis, path=args.input)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(format_matrix(reduced))
+                fh.write(matrix)
         except OSError as exc:
             raise MatrixParseError("cannot write %s: %s" % (args.out, exc)) \
                 from None
-    doc = report_document(report, basis, path=args.input)
     if args.json:
         _emit(doc, True)
     else:
@@ -299,7 +302,7 @@ def cmd_reduce(args) -> int:
         print("cycles: %d" % report.cycles)
         print("time: %.3fs" % report.timings.get("total", 0.0))
         if not args.out:
-            print(format_matrix(reduced), end="")
+            print(matrix, end="")
     return 0
 
 
@@ -471,6 +474,14 @@ def main(argv=None) -> int:
     except BatteryVerificationError as exc:
         print("error: verification failed: %s" % exc, file=sys.stderr)
         return 4
+    except ValueError as exc:
+        # str() of an R, S or transform entry past the interpreter's
+        # int-to-str digit limit, which bounds parse time and stays on
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: output too large to print: %s"
+              % str(exc).partition(";")[0], file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
             assert state.consistent()
         if state.r >= r_before:
             # no strict progress: hand back the pre-cycle list
-            state.adopt(keep)
+            state = keep
             break
         if cycles >= opts.max_cycles:
             exhausted = True

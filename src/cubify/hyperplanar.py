@@ -9,21 +9,21 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
 
     -proj(x) = sum_{j != i} (D_ij / D_ii)·b_j.
 
-The pass keeps D exactly as the integer adjugate adj(G) = det(G)·D, which
-unimodular row operations carry along in O(N) per step because det(G)
-never changes (see BasisState.replace).  A screening therefore
+The pass holds D exactly as the integer adjugate adj(G) = det(G)·D, a
+local computed once per pass by a fraction-free solve.  Unimodular row
+operations carry it along in O(N) per step because det(G) never changes;
+only accepted screenings move it (see Candidate.replay).  A screening
 rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
 the lattice point of x's layer nearest the foot in sublattice coordinates;
 x is replaced by it when the full-basis rhombicity strictly drops.  This
-is the package's one shear computation: the adjugate is computed once per
-pass by a fraction-free solve, and a screening builds no normal vector,
-rational gap or linear solve.  Trace records of accepted shears take the
-hyperplane's primitive normal from the same dual row.
+is the package's one shear computation: a screening builds no normal
+vector, rational gap or linear solve.  Trace records of accepted shears
+take the hyperplane's primitive normal from the same dual row.
 
 A screening copies only the Gram matrix and x's adjugate row into a
 Candidate (see _state.py); neither the transform nor the rest of the
 adjugate is copied or updated unless the screening is accepted, when the
-candidate's steps are replayed into the state.
+candidate's steps are replayed into the state and the adjugate.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     if n < 2:
         return
     m = n - 1
-    state.adj = _adjugate(state.gram)
+    adj = _adjugate(state.gram)
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
-        cand = Candidate(state, i)
+        cand = Candidate(state, adj, i)
         if reduce_sublattice:
             # isolate row i last and norm-sort the rest in one permute
             rest.sort(key=lambda t: state.gram[t][t])
@@ -74,7 +74,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             _lagrange(cand, m, lagrange_variant)
             srcs = range(m)
         else:
-            # the shear reads row i in place; the state moves it last
+            # the shear reads row i in place; the candidate moves it last
             # only once the screening is accepted
             srcs = rest
         target = cand.pos
@@ -83,20 +83,18 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
                 cand.replace(target, c, t)
         if cand.r < state.r:
             before = tuple(state.row(i)) if trace is not None else None
-            cand.replay(state)
             if not reduce_sublattice:
-                state.permute(rest + [i])
+                cand.permute(rest + [i])
+            cand.replay(state, adj)
             if trace is not None:
                 # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]
-                dual = _matmul(_matmul([state.adj[m]], state.trans),
-                               state.base)
+                dual = _matmul(_matmul([adj[m]], state.trans), state.base)
                 trace.append(AcceptedShear(normal=_primitive(dual[0]),
                                            before=before,
                                            after=tuple(state.row(m))))
             i = 0
         else:
             i += 1
-    state.adj = None
 
 
 def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,

@@ -1,13 +1,16 @@
-"""The state's row operations and the adjugate they carry must stay exact.
+"""The state's row operations and the pass's adjugate must stay exact.
 
-BasisState.adj is det(G)·G⁻¹ of the working metric tensor.  permute, swap,
-negate and replace (and so the division steps of _lagrange) update it in
-place instead of recomputing it; after any sequence of them it must equal
-a fresh adjugate, satisfy gram·adj == det(G)·I, and det(G) must not have
+permute, swap, negate and replace (and so the division steps of _lagrange)
+update a BasisState's gram, r and s in place; after any sequence of them
+the state must match a rebuild from its rows, and det(G) must not have
 moved.  pair_r must predict both replaces a simplification step chooses
-between, and a replace must undo exactly.  A
-Candidate, which carries a single adjugate row, must follow the state it
-was made from step for step and replay into it exactly.
+between, and a replace must undo exactly.
+
+The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
+A Candidate made from the state carries a single adjugate row through its
+steps and must follow the state step for step; replaying it must move the
+state and adj exactly, so that adj equals a fresh adjugate and
+gram·adj == det(G)·I.
 """
 
 import pytest
@@ -53,47 +56,98 @@ def _random_step(draw, state):
         _lagrange(state, draw(st.integers(1, n)), draw(st.sampled_from(Variant)))
 
 
-def assert_exact(state, g):
+def _candidate_step(draw, cand):
+    """One step a screening may take on cand, drawn; None if it takes none."""
+    n = len(cand.gram)
+    kind = draw(st.sampled_from(("replace", "swap", "permute", "lagrange")),
+                label="kind")
+    if kind == "replace":
+        if n < 2:
+            return None
+        # the one step a Candidate refuses is src == pos
+        src = draw(st.sampled_from([t for t in range(n) if t != cand.pos]),
+                   label="src")
+        idx = draw(st.sampled_from([t for t in range(n) if t != src]),
+                   label="idx")
+        k = draw(st.integers(-3, 3), label="k")
+        return lambda s: s.replace(idx, k, src)
+    if kind == "swap":
+        a = draw(st.integers(0, n - 1), label="a")
+        b = draw(st.integers(0, n - 1), label="b")
+        return lambda s: s.swap(a, b)
+    if kind == "permute":
+        order = draw(st.permutations(range(n)), label="order")
+        return lambda s: s.permute(order)
+    if cand.pos == n - 1:
+        # the pass's use: a sublattice Lagrange over the rows before pos
+        variant = draw(st.sampled_from(Variant), label="variant")
+        return lambda s: _lagrange(s, n - 1, variant)
+    return None
+
+
+def assert_exact(state, adj, g):
     n = len(state.gram)
-    assert state.adj == _adjugate(state.gram)
+    assert adj == _adjugate(state.gram)
     assert det(state.gram) == g
     for a in range(n):
-        assert [sum(state.gram[a][t] * state.adj[t][b] for t in range(n))
+        assert [sum(state.gram[a][t] * adj[t][b] for t in range(n))
                 for b in range(n)] == [g * (a == b) for b in range(n)]
     assert state.consistent()
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(), data=st.data())
-def test_carried_adjugate_matches_a_fresh_one(rows, data):
+def test_state_steps_keep_gram_r_and_s(rows, data):
     state = BasisState(rows)
-    state.adj = _adjugate(state.gram)
     g = det(state.gram)
-    assert g > 0
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
         _random_step(data.draw, state)
-        assert_exact(state, g)
+        assert state.consistent()
+        assert det(state.gram) == g
 
 
-def test_consistent_checks_the_adjugate():
+@settings(max_examples=80, deadline=None)
+@given(rows=bases(), data=st.data())
+def test_carried_adjugate_matches_a_fresh_one(rows, data):
+    # rounds of candidate steps, each replayed into the state and adj as
+    # an accepted screening is; adj must stay the state's exact adjugate
+    n = len(rows)
+    state = BasisState(rows)
+    adj = _adjugate(state.gram)
+    g = det(state.gram)
+    assert g > 0
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        cand = Candidate(state, adj, data.draw(st.integers(0, n - 1),
+                                               label="pos"))
+        for _ in range(data.draw(st.integers(1, 4), label="steps")):
+            step = _candidate_step(data.draw, cand)
+            if step is not None:
+                step(cand)
+        cand.replay(state, adj)
+        assert_exact(state, adj, g)
+
+
+def test_consistent_checks_gram_r_and_s():
     state = BasisState([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     assert state.consistent()
-    state.adj = _adjugate(state.gram)
-    assert state.consistent()
-    state.adj[0][1] += 1
-    assert not state.consistent()
+    for bad in ("gram", "r", "s"):
+        wrong = state.copy()
+        if bad == "gram":
+            wrong.gram[0][1] += 1
+        else:
+            setattr(wrong, bad, getattr(wrong, bad) + 1)
+        assert not wrong.consistent()
 
 
 def _snapshot(state):
     return ([r[:] for r in state.trans], [r[:] for r in state.gram],
-            state.r, state.s, [r[:] for r in state.adj])
+            state.r, state.s)
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
     state = BasisState(rows)
-    state.adj = _adjugate(state.gram)
     u, v = data.draw(st.permutations(range(len(rows))), label="rows")[:2]
     s = data.draw(st.sampled_from((1, -1)), label="s")
     k = data.draw(st.integers(-5, 5), label="k")
@@ -103,11 +157,11 @@ def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
     for (idx, src), r in zip(((u, v), (v, u)), predicted):
         state.replace(idx, -s, src)
         assert state.r == r
-        assert_exact(state, det(before[1]))
+        assert state.consistent()
         state.replace(idx, s, src)
         assert _snapshot(state) == before
     state.replace(u, k, v)
-    assert_exact(state, det(before[1]))
+    assert state.consistent()
     state.replace(u, -k, v)
     assert _snapshot(state) == before
 
@@ -118,20 +172,22 @@ def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
 @given(rows=bases(st.integers(2, 6)))
 def test_pass_reads_an_exact_adjugate_at_every_screening(
         rows, reduce_sublattice, variant):
-    # every screening starts a Candidate from the state and shears it
-    # through replace; an accepted one is replayed into the state.  Check
-    # the state at every screening start and after every replay, and the
-    # candidate's adjugate row at every shear read and every replace
+    # every screening starts a Candidate from the state and the pass's
+    # adjugate and shears it through replace; an accepted one is replayed
+    # into both.  Check the adjugate at every screening start and after
+    # every replay, and the candidate's adjugate row at every shear read
+    # and every replace
     cands, replays = [], []
     init, replace, replay = (Candidate.__init__, Candidate.replace,
                              Candidate.replay)
+    g = det(rows) ** 2
 
     def exact_row(cand):
         return cand.arow == _adjugate(cand.gram)[cand.pos]
 
-    def checked_init(self, state, pos):
-        assert state.adj is not None and state.consistent()
-        init(self, state, pos)
+    def checked_init(self, state, adj, pos):
+        assert_exact(state, adj, g)
+        init(self, state, adj, pos)
         assert exact_row(self)
         cands.append(self)
 
@@ -145,9 +201,9 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
         assert exact_row(self)
         replace(self, idx, k, src)
 
-    def checked_replay(self, state):
-        replay(self, state)
-        assert state.consistent()
+    def checked_replay(self, state, adj):
+        replay(self, state, adj)
+        assert_exact(state, adj, g)
         replays.append(self)
 
     shear = hyperplanar._shear_coeffs
@@ -160,53 +216,34 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
         _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice)
     # one screening per row after the last acceptance, at least
     assert len(cands) >= len(rows) + len(replays)
-    assert state.adj is None
     assert state.consistent()
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_candidate_follows_the_state_it_was_made_from(rows, data):
-    # a Candidate and a copy of its state, with adj set, run the same steps;
-    # the candidate must match the copy's gram, r, s and adjugate row at
-    # pos, and replaying it must turn its state into the copy
+    # a Candidate and a copy of its state run the same steps; the
+    # candidate must match the copy's gram, r and s and carry the row at
+    # pos of the copy's adjugate, and replaying it must turn its state
+    # into the copy and its adjugate into the copy's
     n = len(rows)
     state = BasisState(rows)
-    state.adj = _adjugate(state.gram)
+    adj = _adjugate(state.gram)
+    g = det(state.gram)
     ref = state.copy()
-    cand = Candidate(state, data.draw(st.integers(0, n - 1), label="pos"))
+    cand = Candidate(state, adj, data.draw(st.integers(0, n - 1), label="pos"))
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
-        kind = data.draw(st.sampled_from(("replace", "swap", "permute",
-                                          "lagrange")), label="kind")
-        if kind == "replace":
-            # the one step a Candidate refuses is src == pos
-            src = data.draw(st.sampled_from(
-                [t for t in range(n) if t != cand.pos]), label="src")
-            idx = data.draw(st.sampled_from(
-                [t for t in range(n) if t != src]), label="idx")
-            k = data.draw(st.integers(-3, 3), label="k")
-            step = lambda s: s.replace(idx, k, src)
-        elif kind == "swap":
-            a = data.draw(st.integers(0, n - 1), label="a")
-            b = data.draw(st.integers(0, n - 1), label="b")
-            step = lambda s: s.swap(a, b)
-        elif kind == "permute":
-            order = data.draw(st.permutations(range(n)), label="order")
-            step = lambda s: s.permute(order)
-        elif cand.pos == n - 1:
-            # the pass's use: a sublattice Lagrange over the rows before pos
-            variant = data.draw(st.sampled_from(Variant), label="variant")
-            step = lambda s: _lagrange(s, n - 1, variant)
-        else:
+        step = _candidate_step(data.draw, cand)
+        if step is None:
             continue
         step(ref)
         step(cand)
         assert (cand.gram, cand.r, cand.s) == (ref.gram, ref.r, ref.s)
-        assert cand.arow == ref.adj[cand.pos] == _adjugate(cand.gram)[cand.pos]
-    cand.replay(state)
-    assert state.consistent()
-    assert (state.trans, state.gram, state.r, state.s, state.adj) == (
-        ref.trans, ref.gram, ref.r, ref.s, ref.adj)
+        assert cand.arow == _adjugate(ref.gram)[cand.pos]
+    cand.replay(state, adj)
+    assert (state.trans, state.gram, state.r, state.s) == (
+        ref.trans, ref.gram, ref.r, ref.s)
+    assert_exact(state, adj, g)
 
 
 def test_reordered_takes_rows_and_columns_in_order():

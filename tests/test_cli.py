@@ -235,6 +235,43 @@ def test_reduce_out_onto_a_directory_exits_1(tmp_path, capsys):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
+#: a 1x1 entry the parser takes whose square, R and S, has more digits
+#: than the interpreter's int-to-str limit (4300 by default)
+HUGE = 10 ** 2500 + 7
+
+
+def assert_too_large_to_print(capsys):
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: output too large to print")
+    assert cap.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["reduce"], ["reduce", "--json"],
+                                  ["compare"], ["compare", "--json"]])
+def test_an_output_past_the_digit_limit_exits_1(tmp_path, capsys, argv):
+    path = write_matrix(tmp_path, [[HUGE]])
+    assert main(argv + [path]) == 1
+    assert_too_large_to_print(capsys)
+
+
+def test_reduce_out_past_the_digit_limit_writes_nothing(tmp_path, capsys):
+    path = write_matrix(tmp_path, [[HUGE]])
+    out = tmp_path / "reduced.txt"
+    assert main(["reduce", path, "--out", str(out)]) == 1
+    assert_too_large_to_print(capsys)
+    assert not out.exists()
+
+
+def test_verify_problem_past_the_digit_limit_exits_1(tmp_path, capsys):
+    # the report of [[3]] claims R = 9; the recomputed R = HUGE² is too
+    # long for the problem line
+    _, _, rep_path = run_reduce_to_files(tmp_path, capsys, [[3]])
+    path = write_matrix(tmp_path, [[HUGE]], "huge.txt")
+    assert main(["verify", path, path, rep_path]) == 1
+    assert_too_large_to_print(capsys)
+
+
 def test_reduce_singular_exit(tmp_path, capsys):
     path = write_matrix(tmp_path, ((1, 2), (2, 4)))
     assert main(["reduce", path]) == 2

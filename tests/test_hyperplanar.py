@@ -20,17 +20,21 @@ from conftest import B_EXAMPLE
 def shear(isolated, sub):
     """isolated sheared by the pass's kernel over the rows of sub.
 
-    The coefficients are read off the adjugate carried by a BasisState of
-    sub + [isolated] and applied through replace, as the pass does when it
-    shears a row in place.
+    The coefficients are read off a Candidate of sub + [isolated] built
+    with the basis's adjugate and applied through replace, as the pass
+    does when it shears a row in place; the candidate is replayed and the
+    adjugate checked against a fresh one.
     """
     state = BasisState(list(sub) + [isolated])
-    state.adj = _adjugate(state.gram)
+    adj = _adjugate(state.gram)
     m = len(sub)
-    for c, t in zip(_shear_coeffs(state.adj[m], m), range(m)):
+    cand = Candidate(state, adj, m)
+    for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
         if c:
-            state.replace(m, c, t)
+            cand.replace(m, c, t)
+    cand.replay(state, adj)
     assert state.consistent()
+    assert adj == _adjugate(state.gram)
     assert state.rows[:m] == [list(v) for v in sub]
     return tuple(state.row(m))
 
@@ -192,16 +196,16 @@ def test_pass_without_sublattice_reduction():
 @pytest.mark.parametrize("variant", list(Variant))
 def test_trace_normal_is_the_accepted_sublattice_normal(
         monkeypatch, variant, reduce_sublattice):
-    # the record's normal comes from the carried adjugate; it must be the
+    # the record's normal comes from the pass's adjugate; it must be the
     # primitive normal of the rows the state keeps before the sheared one
     # once the accepted candidate is replayed into it, which the pass
     # finishes before it appends the record
     replays = []
     replay = Candidate.replay
 
-    def counting(self, state):
+    def counting(self, state, adj):
         replays.append(self)
-        replay(self, state)
+        replay(self, state, adj)
 
     monkeypatch.setattr(Candidate, "replay", counting)
 

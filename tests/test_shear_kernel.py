@@ -1,10 +1,11 @@
 """The adjugate shear kernel against the geometric oracle.
 
 The hyperplanar pass reads its shear coefficients for row i off the integer
-adjugate of the metric tensor (round(adj_it / adj_ii)), carried through its
-row operations.  The oracle builds the hyperplane normal, the rational gap
-to the perpendicular foot and solves for its sublattice coordinates from
-the row coordinates; both must round to the same integers, ties included.
+adjugate of the metric tensor (round(adj_it / adj_ii)), carried through a
+screening's row operations by a Candidate.  The oracle builds the
+hyperplane normal, the rational gap to the perpendicular foot and solves
+for its sublattice coordinates from the row coordinates; both must round
+to the same integers, ties included.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
-from cubify._state import BasisState
+from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate, _solve_fraction_free
 from cubify.hyperplanar import _shear_coeffs
@@ -54,18 +55,22 @@ def test_kernel_matches_geometric_oracle(rows, data):
     m = n - 1
     i = data.draw(st.integers(0, m), label="isolated")
     state = BasisState(rows)
-    # set before the rows move, so the kernel reads the carried adjugate
-    state.adj = _adjugate(state.gram)
+    # taken before the rows move, so the kernel reads the replayed adjugate
+    adj = _adjugate(state.gram)
+    cand = Candidate(state, adj, i)
     rest = [t for t in range(n) if t != i]
     reduce_sublattice = data.draw(st.booleans(), label="sublattice lagrange")
     if reduce_sublattice:
         # the pass's order: the rest norm-sorted, row i last
         rest.sort(key=lambda t: state.gram[t][t])
-    state.permute(rest + [i])
+    cand.permute(rest + [i])
     if reduce_sublattice:
-        _lagrange(state, m, data.draw(st.sampled_from(Variant), label="variant"))
+        _lagrange(cand, m, data.draw(st.sampled_from(Variant), label="variant"))
+    cand.replay(state, adj)
     assert state.consistent()
-    assert _shear_coeffs(state.adj[m], m) == oracle(state.rows[m], state.rows[:m])
+    assert adj == _adjugate(state.gram)
+    assert cand.arow == adj[m]
+    assert _shear_coeffs(cand.arow, m) == oracle(state.rows[m], state.rows[:m])
 
 
 @settings(max_examples=100, deadline=None)

@@ -130,17 +130,12 @@ class LoggedCandidate(_Logged, Candidate):
 
 
 def _state_pair(rows):
-    """Two equal logged states of rows, with the adjugate set."""
-    pair = []
-    for _ in range(2):
-        state = LoggedState(rows)
-        state.adj = _adjugate(state.gram)
-        pair.append(state)
-    return pair
+    """Two equal logged states of rows."""
+    return [LoggedState(rows) for _ in range(2)]
 
 
 def _full(state):
-    return state.calls, state.trans, state.gram, state.r, state.s, state.adj
+    return state.calls, state.trans, state.gram, state.r, state.s
 
 
 def _trial(cand):
@@ -167,8 +162,9 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
     rest = data.draw(st.permutations([t for t in range(n) if t != pos]),
                      label="rest")
     state = BasisState(rows)
-    state.adj = _adjugate(state.gram)
-    new, plain = LoggedCandidate(state, pos), LoggedCandidate(state, pos)
+    adj = _adjugate(state.gram)
+    new, plain = (LoggedCandidate(state, adj, pos),
+                  LoggedCandidate(state, adj, pos))
     for cand in (new, plain):
         cand.permute(rest + [pos])
     _lagrange(new, n - 1, variant)
