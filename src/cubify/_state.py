@@ -13,8 +13,12 @@ reorders all rows at once.  pair_r(u, v, s) scores the two replaces a
 simplification step chooses between without applying either.  No code
 outside this module updates trans, gram, r or s.
 
-A screening of the hyperplanar pass copies only gram, r, s and one row of
-the pass's adjugate, into a Candidate; the state's trans and the adjugate
+The hyperplanar pass reads the integer adjugate of gram, which each pass
+hands on to the next.  In between, the state records its steps in log (a
+list once the driver sets one; None, the default, records nothing), and
+_replay applies the record to the carried adjugate before the next pass.
+A screening copies only gram, r, s and one adjugate row into a Candidate,
+which logs its steps the same way; the state's trans and the adjugate
 follow only when it is accepted, through Candidate.replay.
 """
 
@@ -42,9 +46,51 @@ def _swap(m, a, b):
         row[a], row[b] = row[b], row[a]
 
 
+def _replay(log, adj, trans=None):
+    """Apply logged steps to an adjugate, and to trans if given, in place.
+
+    adj is the integer adjugate det(G)·G⁻¹ of the metric tensor the log
+    starts from.  Unimodular steps leave det(G) unchanged, and a step with
+    matrix T moves adj to adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹: replace(idx, k, src)
+    moves row src by -k times row idx, then column src by -k times column
+    idx, and negate flips row and column idx.  swap and permute only
+    compose a position map, pos[t] being the list row now at position t;
+    adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered once, at the
+    end.
+    """
+    n = len(adj)
+    pos = list(range(n))
+    for step in log:
+        op = step[0]
+        if op == "replace":
+            _, idx, k, src = step
+            a, b = pos[idx], pos[src]
+            adj[b] = [x - k * y for x, y in zip(adj[b], adj[a])]
+            for row in adj:
+                row[b] -= k * row[a]
+            if trans is not None:
+                trans[a] = [x + k * y for x, y in zip(trans[a], trans[b])]
+        elif op == "swap":
+            _, a, b = step
+            pos[a], pos[b] = pos[b], pos[a]
+        elif op == "negate":
+            a = pos[step[1]]
+            adj[a] = [-x for x in adj[a]]
+            for row in adj:
+                row[a] = -row[a]
+            if trans is not None:
+                trans[a] = [-x for x in trans[a]]
+        else:
+            pos = [pos[i] for i in step[1]]
+    if pos != list(range(n)):
+        adj[:] = _reordered(adj, pos)
+        if trans is not None:
+            trans[:] = [trans[i] for i in pos]
+
+
 class BasisState:
 
-    __slots__ = ("base", "trans", "gram", "r", "s")
+    __slots__ = ("base", "trans", "gram", "r", "s", "log")
 
     def __init__(self, rows):
         self.base = tuple(tuple(r) for r in rows)
@@ -53,6 +99,7 @@ class BasisState:
         self.gram = [list(row) for row in metric_tensor(self.base)]
         self.r = sum(abs(x) for row in self.gram for x in row)
         self.s = sum(self.gram[i][i] for i in range(n))
+        self.log = None
 
     @property
     def rows(self):
@@ -70,6 +117,7 @@ class BasisState:
         c.gram = [r[:] for r in self.gram]
         c.r = self.r
         c.s = self.s
+        c.log = None
         return c
 
     def _combined(self, idx, k, src):
@@ -118,12 +166,16 @@ class BasisState:
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
+        if self.log is not None:
+            self.log.append(("replace", idx, k, src))
 
     def swap(self, a, b):
         """Exchange rows a and b, in O(N); r and s are unchanged."""
         t = self.trans
         t[a], t[b] = t[b], t[a]
         _swap(self.gram, a, b)
+        if self.log is not None:
+            self.log.append(("swap", a, b))
 
     def negate(self, idx):
         """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
@@ -133,11 +185,15 @@ class BasisState:
         g[idx] = [-x for x in g[idx]]
         for row in g:
             row[idx] = -row[idx]
+        if self.log is not None:
+            self.log.append(("negate", idx))
 
     def permute(self, order):
         """Row t becomes the old row order[t]; r and s are unchanged."""
         self.trans[:] = [self.trans[i] for i in order]
         self.gram[:] = _reordered(self.gram, order)
+        if self.log is not None:
+            self.log.append(("permute", order))
 
     def norm_order(self):
         """Row indices by squared norm, ties in position order."""
@@ -214,29 +270,12 @@ class Candidate:
 
     def replay(self, state, adj):
         """Give state this gram, r and s, and apply the log to state.trans
-        and to adj in place.
+        and to adj in place (see _replay).
 
         state and adj must be the ones the candidate was made from,
-        unchanged since; no Gram entry is computed a second time.  A
-        replace moves row src of adj by -k times row idx, then column src
-        by -k times column idx.
+        unchanged since; no Gram entry is computed a second time.
         """
-        t = state.trans
-        for op, *args in self.log:
-            if op == "replace":
-                idx, k, src = args
-                t[idx] = [x + k * y for x, y in zip(t[idx], t[src])]
-                adj[src] = [x - k * y for x, y in zip(adj[src], adj[idx])]
-                for row in adj:
-                    row[src] -= k * row[idx]
-            elif op == "swap":
-                a, b = args
-                t[a], t[b] = t[b], t[a]
-                _swap(adj, a, b)
-            else:
-                (order,) = args
-                t[:] = [t[i] for i in order]
-                adj[:] = _reordered(adj, order)
+        _replay(self.log, adj, state.trans)
         state.gram[:] = self.gram
         state.r = self.r
         state.s = self.s

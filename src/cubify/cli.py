@@ -106,7 +106,9 @@ def _jint(v: int):
     return v if -_SAFE <= v <= _SAFE else str(v)
 
 
-_BIGINT = re.compile(r"-?[0-9]+")
+#: the schema's patterns, matched as draft-07 matches them: by search, so
+#: that "$" also matches before a final newline ("12\n" is a bigint)
+_BIGINT = re.compile(r"^-?[0-9]+$")
 
 
 def _integral(v):
@@ -123,7 +125,7 @@ def _unjint(v) -> int:
     v = _integral(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    if isinstance(v, str) and _BIGINT.fullmatch(v):
+    if isinstance(v, str) and _BIGINT.search(v):
         return int(v)
     raise ValueError("not an integer or decimal string: %r" % (v,))
 
@@ -183,7 +185,7 @@ OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
 #: (the bigints are read by _unjint)
 _INTEGER_PATHS = ("cycles", "input.dim", "options.method", "options.max_cycles")
 
-_SHA256 = re.compile(r"[0-9a-f]{64}")
+_SHA256 = re.compile(r"^[0-9a-f]{64}$")
 _BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
 
 #: what the schema asks of the report values kept as read (options and the
@@ -191,9 +193,10 @@ _BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
 _TYPED_KEYS = dict(
     cycles=(lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     input=(lambda v: isinstance(v, dict) and isinstance(v.get("sha256"), str)
-           and _SHA256.fullmatch(v["sha256"]) and _is_int(v.get("dim"))
+           and _SHA256.search(v["sha256"]) and _is_int(v.get("dim"))
            and v["dim"] >= 1 and isinstance(v.get("path", ""), str),
            "an object with a sha256 digest and a positive dim"),
+    options=(lambda v: isinstance(v, dict), "an object"),
     auto=_BOOLEAN, pre_pass_applied=_BOOLEAN, max_cycles_exhausted=_BOOLEAN,
     verified=_BOOLEAN, r_history=(lambda v: isinstance(v, list), "an array"),
     transform=(lambda v: isinstance(v, list) and v and all(

@@ -30,6 +30,13 @@ cycle is skipped whenever the previous cycle ended on a pass, and so is
 any phase after a directional phase that only reordered rows.  The
 pre-pass (no sublattice reduction) screens other candidates, so it
 neither reads nor sets settled.
+
+Each pass returns the adjugate of the Gram matrix it ended on, and the
+driver carries it to the next pass instead of solving again: from the end
+of the first pass on, the state logs its steps, and before the next pass
+runs the driver applies that log to the carried adjugate and clears it.
+So one fraction-free solve serves the whole run, and the directional
+steps before the first pass, when there is no adjugate yet, log nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._state import BasisState
+from ._state import BasisState, _replay
 from .directional import Variant, _lagrange, _simplify
 from .exact import Basis, _as_rows, _matmul, det, metric_tensor, norm_sum, rhombicity
 from .hyperplanar import _hyperplanar
@@ -170,10 +177,21 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     r_in, s_in = state.r, state.s
     timings = {"pre_hyperplanar": 0.0, "directional": 0.0, "hyperplanar": 0.0}
 
+    carried = None
+
+    def run_pass(reduce_sublattice=True):
+        nonlocal carried
+        if carried is not None:
+            _replay(state.log, carried)
+        carried = _hyperplanar(state, opts.lagrange,
+                               reduce_sublattice=reduce_sublattice, adj=carried)
+        # log the steps that will move carried before the next pass
+        state.log = []
+
     pre_applied = False
     if opts.pre_hyperplanar:
         t0 = time.perf_counter()
-        _hyperplanar(state, opts.lagrange, reduce_sublattice=False)
+        run_pass(reduce_sublattice=False)
         timings["pre_hyperplanar"] += time.perf_counter() - t0
         pre_applied = True
 
@@ -189,7 +207,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
         nonlocal settled
         t0 = time.perf_counter()
         if _norm_rows(state) != settled:
-            _hyperplanar(state, opts.lagrange)
+            run_pass()
             settled = _norm_rows(state)
         timings["hyperplanar"] += time.perf_counter() - t0
 

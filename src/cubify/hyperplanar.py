@@ -9,13 +9,16 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
 
     -proj(x) = sum_{j != i} (D_ij / D_ii)·b_j.
 
-The pass holds D exactly as the integer adjugate adj(G) = det(G)·D, a
-local computed once per pass by a fraction-free solve.  Unimodular row
-operations carry it along in O(N) per step because det(G) never changes;
-only accepted screenings move it (see Candidate.replay).  A screening
-rounds adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get
-the lattice point of x's layer nearest the foot in sublattice coordinates;
-x is replaced by it when the full-basis rhombicity strictly drops.  This
+The pass holds D exactly as the integer adjugate adj(G) = det(G)·D.
+Unimodular row operations carry it along in O(N) per step because det(G)
+never changes, so one fraction-free solve serves a whole reduction: a pass
+takes the adjugate the previous pass returned, brought up to date by the
+driver with the steps the state logged since (see _state._replay), and
+computes it afresh only when handed none.  Within a pass only accepted
+screenings move it (see Candidate.replay).  A screening rounds
+adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get the
+lattice point of x's layer nearest the foot in sublattice coordinates; x
+is replaced by it when the full-basis rhombicity strictly drops.  This
 is the package's one shear computation: a screening builds no normal
 vector, rational gap or linear solve.  Trace records of accepted shears
 take the hyperplane's primitive normal from the same dual row.
@@ -57,12 +60,18 @@ class AcceptedShear:
 
 
 def _hyperplanar(state, lagrange_variant=Variant.INSERT,
-                 reduce_sublattice=True, trace=None):
+                 reduce_sublattice=True, trace=None, adj=None):
+    """Run one pass on state; returns the adjugate of its final gram.
+
+    adj, when given, must be the adjugate of state.gram; the pass moves it
+    in place.  Without it the pass computes one.
+    """
     n = len(state.gram)
     if n < 2:
-        return
+        return adj
     m = n - 1
-    adj = _adjugate(state.gram)
+    if adj is None:
+        adj = _adjugate(state.gram)
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
@@ -95,6 +104,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             i = 0
         else:
             i += 1
+    return adj
 
 
 def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,

@@ -10,9 +10,12 @@ het20 as perfbench's het20 workload feeds it: rows permuted and signed by
 random.Random(1), matrices 0 and 1.  Two pin perfbench's dense-hyp
 workload at seed 1: full n = 12 draws with entries in (0, 100) and
 generator seeds 1_000_000 and 1_000_001.  One more digest covers a full
-n = 10 draw under all 16 explicit option sets.  A digest changes only when the
-reduction takes a different path, so a change here needs a stated reason,
-not an updated constant.
+n = 10 draw under all 16 explicit option sets.  Two pin inputs on which the
+hyperplanar adjugate is carried across several passes: a full n = 20 draw
+with entries in (0, 100) and a full n = 8 draw with entries in
+(-10^50, 10^50).  A digest changes only when the reduction takes a
+different path, so a change here needs a stated reason, not an updated
+constant.
 """
 
 import hashlib
@@ -48,6 +51,14 @@ HET20_PERMUTED = {
 DENSE_HYP = {
     0: "4d33b57caa3ade5a01c9d86bbccab76c1922634659dc071f3eecb5c4e4a7634d",
     1: "b06deb01fab6638fd0e47a8285804f60b41f080f5a94faed4fde7cc651ae549d",
+}
+
+#: inputs whose runs carry the adjugate across several hyperplanar passes
+CARRIED = {
+    "full-20": (GeneratorSpec("full", 20, (0, 100), seed=20),
+                "8092694fa4de38f0c5dc2042468141c3df110ba988e9117af5f0e95ea1c5cb9d"),
+    "full-8-e50": (GeneratorSpec("full", 8, (-10 ** 50, 10 ** 50), seed=8),
+                   "97d29fcd03556ad1198ab65fa29bf96f90ba8a1ec5c8191bc5e9ed6cdc1492e0"),
 }
 
 #: full n = 10, entries in (-1000, 1000), seed 10, under every explicit
@@ -103,6 +114,12 @@ def test_permuted_het20_digest_is_pinned(i):
 @pytest.mark.parametrize("i", sorted(DENSE_HYP))
 def test_dense_hyp_digest_is_pinned(i):
     assert _digest(_dense_hyp(i)) == DENSE_HYP[i]
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_carried_adjugate_digest_is_pinned(name):
+    spec, digest = CARRIED[name]
+    assert _digest(generate(spec)) == digest
 
 
 def test_every_explicit_option_set_is_pinned():

@@ -1,11 +1,14 @@
 """CLI end to end: parsing, JSON documents, exit codes."""
 
 import argparse
+import copy
 import json
+import re
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import B_EXAMPLE
 import cubify.bench as bench
@@ -535,6 +538,125 @@ def test_unjint_accepts_exactly_the_schema_bigint():
     assert _unjint(-12) == -12
     assert _unjint("-12") == -12
     assert _unjint(-12.0) == -12 and isinstance(_unjint(-12.0), int)
-    for bad in (False, 1.5, [1], None, "+1", " 1", "1_000", "١"):
+    # the schema's pattern matches by search, where "$" also matches
+    # before a final newline
+    assert _unjint("-12\n") == -12
+    for bad in (False, 1.5, [1], None, "+1", " 1", "1_000", "١", "1\n\n"):
         with pytest.raises(ValueError):
             _unjint(bad)
+
+
+# ----------------------------------------- report parser against the schema
+
+
+def _base_documents():
+    """Valid reduce documents: small entries, and entries past 2^53 whose
+    R, S and transform entries are written as decimal strings."""
+    docs = []
+    for rows in (B_EXAMPLE, [[10 ** 30 + 7, 3], [5, 10 ** 29 + 1]]):
+        basis = Basis(rows)
+        _, report = cubify(basis)
+        docs.append(json.loads(json.dumps(
+            report_document(report, basis, path="m.txt"))))
+    return docs
+
+
+BASE_DOCS = _base_documents()
+SHA = BASE_DOCS[0]["input"]["sha256"]
+
+#: enum members, their neighbours and values of the wrong type
+ENUM_POOL = ["append", "insert", "Append", "insert ", "random",
+             "small_columnar", "large_heterogeneous", "columnar", "reduce",
+             "verify", "cubify-report/1", "cubify-report/2", 0, 1, 2, 3, 1.0,
+             2.0, True, False, None]
+TEXT = st.one_of(
+    st.text(alphabet="0123456789-+ _\nabcdefA", max_size=6),
+    st.sampled_from([SHA, SHA + "\n", SHA.upper(), SHA[:-1], "12\n", "007",
+                     "-0", "١٢"]))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.integers(-10 ** 40, 10 ** 40), st.sampled_from([0.0, 2.0, -1.0, 1.5,
+                                                       1e300]),
+    TEXT, st.sampled_from(ENUM_POOL))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["total", "sha256", "dim", "path",
+                                         "method", "x"]), inner, max_size=3)),
+    max_leaves=6)
+KEYS = st.one_of(st.sampled_from(sorted(REDUCE_KEYS) + list(OPTION_KEYS)
+                                 + ["sha256", "dim", "path", "extra"]),
+                 st.text(max_size=4))
+
+#: a bigint string short enough to read as a float
+_BIGINT_TEXT = re.compile(r"-?[0-9]{1,300}")
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(draw, doc):
+    """One drawn edit of doc in place: drop, add or retype a value, change
+    it to another enum member, make a list ragged, or write an integer as
+    an integral float or a decimal string."""
+    path = draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
+    *outer, last = path
+    parent = doc
+    for step in outer:
+        parent = parent[step]
+    value = parent[last]
+    kind = draw(st.sampled_from(("drop", "add", "retype", "enum", "ragged",
+                                 "float", "string")), label="kind")
+    if kind == "drop":
+        del parent[last]
+    elif kind == "add":
+        if isinstance(value, dict):
+            value[draw(KEYS, label="key")] = draw(VALUES, label="value")
+        else:
+            parent[last] = draw(VALUES, label="value")
+    elif kind == "retype":
+        parent[last] = draw(VALUES, label="value")
+    elif kind == "enum":
+        parent[last] = draw(st.sampled_from(ENUM_POOL), label="member")
+    elif kind == "ragged":
+        if isinstance(value, list) and value and draw(st.booleans(),
+                                                     label="shorten"):
+            value.pop(draw(st.integers(0, len(value) - 1), label="index"))
+        elif isinstance(value, list):
+            value.append(draw(VALUES, label="item"))
+        else:
+            parent[last] = [value]
+    elif isinstance(value, int) and not isinstance(value, bool):
+        if kind == "float" and abs(value) < 1e300:
+            parent[last] = float(value)
+        elif kind == "string":
+            parent[last] = str(value)
+    elif isinstance(value, str) and _BIGINT_TEXT.fullmatch(value):
+        parent[last] = int(value) if kind == "string" else float(value)
+
+
+def _schema_accepts(doc):
+    return (jsonschema.Draft7Validator(SCHEMA).is_valid(doc)
+            and doc.get("command") == "reduce")
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from(BASE_DOCS), data=st.data())
+def test_report_parser_accepts_exactly_what_the_schema_accepts(base, data):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        _mutate(data.draw, doc)
+    try:
+        report_from_document(copy.deepcopy(doc))
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _schema_accepts(doc)

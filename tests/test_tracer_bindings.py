@@ -10,8 +10,9 @@ stands and resolves every binding.
 import importlib.util
 import random
 from pathlib import Path
+from unittest import mock
 
-from cubify import CubifyOptions, cubify
+from cubify import CubifyOptions, GeneratorSpec, cubify, generate, hyperplanar
 
 from _helpers import random_basis
 
@@ -54,3 +55,23 @@ def test_a_traced_run_counts_the_screenings_and_times_the_sublattice():
     assert t.counts["hyperplanar.accepted"] > 0
     assert {"hyperplanar", "hyperplanar.sublattice_lagrange",
             "directional.lagrange"} <= spans
+
+
+def test_a_traced_run_still_solves_once():
+    # the wrapper around cubifier._hyperplanar must hand each pass's
+    # adjugate back to the driver, which carries it to the next pass
+    tracer = _load_tracer()
+    rows = generate(GeneratorSpec("full", 12, (0, 100), seed=1_000_000))
+    solves = []
+    solve = hyperplanar._adjugate
+
+    def counting(gram):
+        solves.append(gram)
+        return solve(gram)
+
+    with mock.patch.object(hyperplanar, "_adjugate", counting):
+        with tracer.Tracer() as t:
+            cubify(rows)
+    passes = [span for span in t.spans if span[0] == "hyperplanar"]
+    assert len(passes) >= 2
+    assert len(solves) == 1
