@@ -17,9 +17,11 @@ The hyperplanar pass reads the integer adjugate of gram, which each pass
 hands on to the next.  In between, the state records its steps in log (a
 list once the driver sets one; None, the default, records nothing), and
 _replay applies the record to the carried adjugate before the next pass.
-A screening copies only gram, r, s and one adjugate row into a Candidate,
-which logs its steps the same way; the state's trans and the adjugate
-follow only when it is accepted, through Candidate.replay.
+A screening that reduces the other rows first runs them on a Candidate,
+a reordered copy of gram, r, s and one adjugate row, which logs its steps
+the same way; an accepted shear is applied to a Candidate too.  The
+state's trans and the adjugate follow only when a screening is accepted,
+through Candidate.replay.
 """
 
 from __future__ import annotations
@@ -218,28 +220,35 @@ class Candidate:
     """A trial run of a state's steps that carries one adjugate row.
 
     adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
-    which the hyperplanar pass holds.  A Candidate holds copies of the
-    state's gram, r and s, pos (one row's position, which swap and permute
-    move) and arow, the adjugate row at pos.  It takes replace, swap and
-    permute like BasisState, so a pass runs on it unchanged, and logs them
-    instead of updating trans and adj.  Unimodular steps leave det(G)
-    unchanged, so adj stays integral over that one denominator: under
-    replace(idx, k, src), with T = I + k·E[idx][src], adj becomes
-    adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose row pos differs only in entry src, by
-    -k times entry idx, as long as src != pos.
+    which the hyperplanar pass holds.  A Candidate holds the state's gram
+    with its rows reordered, r and s, pos (one row's position, which swap
+    and permute move; the reorder puts it last) and arow, the adjugate row
+    at pos.  It takes replace, swap and permute like BasisState, so a pass
+    runs on it unchanged, and logs them instead of updating trans and
+    adj.  Unimodular steps leave det(G) unchanged, so adj stays integral
+    over that one denominator: under replace(idx, k, src), with
+    T = I + k·E[idx][src], adj becomes adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose
+    row pos differs only in entry src, by -k times entry idx, as long as
+    src != pos.
     """
 
     __slots__ = ("gram", "r", "s", "pos", "arow", "log")
 
     _combined = BasisState._combined
 
-    def __init__(self, state, adj, pos):
-        self.gram = [r[:] for r in state.gram]
+    def __init__(self, state, adj, order):
+        """A trial of state with its rows taken in order, the last one at pos.
+
+        The reorder is the candidate's first logged step, so a replay
+        applies it to the state's trans and to adj.
+        """
+        self.gram = _reordered(state.gram, order)
         self.r = state.r
         self.s = state.s
-        self.pos = pos
-        self.arow = adj[pos][:]
-        self.log = []
+        self.pos = len(order) - 1
+        arow = adj[order[-1]]
+        self.arow = [arow[j] for j in order]
+        self.log = [("permute", order)]
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx, src != pos), in O(N)."""

@@ -13,7 +13,10 @@ Both sweep until a full sweep changes nothing, so most visits find a pair
 that does not step, and they are kept cheap.  Division tests a pair's
 fixpoint inline: the rounded quotient (half to even) is zero exactly when
 2|g_ij| <= min(g_ii, g_jj), so only a pair that steps picks its divisor
-and rounds.  Simplification scores each unordered pair at most once
+and rounds.  The test is symmetric, so until a sweep's first step each
+row visits only the pairs (i, j) with j > i: its mirror (j, i) was tested
+earlier in the sweep on the same state.  After a step every row visits
+every pair again.  Simplification scores each unordered pair at most once
 between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
@@ -54,7 +57,9 @@ def _lagrange(state, m, variant):
             g = state.gram
             gi = g[i]
             di = gi[i]
-            for j in range(m):
+            # until the sweep's first step, (i, j) with j < i was tested
+            # as (j, i) on this same state, and the test is symmetric
+            for j in range(m) if changed else range(i + 1, m):
                 if i == j:
                     continue
                 # the fixpoint test, without _roles and _round_ratio
@@ -138,7 +143,15 @@ def lagrange_division(b, variant=Variant.INSERT) -> Basis:
 
 
 def simplification(b, variant=Variant.INSERT) -> Basis:
-    """One-step combinations of pairs, kept only when rhombicity drops."""
+    """One-step combinations of pairs, kept only when rhombicity drops.
+
+    Each step adds or subtracts a row once, so a pair whose rounded
+    quotient is q takes about |q| steps: on a skewed basis that is not
+    division-reduced the running time grows with the skew, without bound
+    (simplification([[1, 0], [10**e, 1]]) takes about 10**e steps).
+    cubify and directional_reduction always run division first; call
+    lagrange_division before this on such inputs.
+    """
     basis = Basis(b)
     state = BasisState(basis.rows)
     _simplify(state, Variant(variant))

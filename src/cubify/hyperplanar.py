@@ -23,10 +23,15 @@ is the package's one shear computation: a screening builds no normal
 vector, rational gap or linear solve.  Trace records of accepted shears
 take the hyperplane's primitive normal from the same dual row.
 
-A screening copies only the Gram matrix and x's adjugate row into a
-Candidate (see _state.py); neither the transform nor the rest of the
-adjugate is copied or updated unless the screening is accepted, when the
-candidate's steps are replayed into the state and the adjugate.
+A screening scores its shear before applying it (_sheared_r): the sheared
+row's scalar products and norm, and so the rhombicity it would leave, come
+from the Gram rows it combines, and nothing is written.  With sublattice
+reduction the other rows are reduced on a Candidate (see _state.py), a
+reordered copy of the Gram matrix and x's adjugate row; without it a
+screening reads the state's Gram matrix and the adjugate in place and
+copies nothing.  Only an accepted screening applies its shear, to a
+Candidate, whose steps are then replayed into the state's transform and
+the adjugate.
 """
 
 from __future__ import annotations
@@ -44,11 +49,32 @@ def _shear_coeffs(arow, i):
     arow is row i of the adjugate of the metric tensor; its entries are
     det(G) times the coordinates of -proj(b_i) over the other rows, and
     adj_ii = det(G)·(G⁻¹)_ii is positive.  Each ratio is rounded half to
-    even like nearest_int.
+    even like nearest_int.  Most round to 0, which needs no division:
+    |a/d| <= 1/2 rounds to 0, the ties ±1/2 included.
     """
     d = arow[i]
     assert d > 0
-    return [_round_ratio(arow[t], d) for t in range(len(arow)) if t != i]
+    return [0 if 2 * abs(a) <= d else _round_ratio(a, d)
+            for t, a in enumerate(arow) if t != i]
+
+
+def _sheared_r(gram, r, i, coeffs, srcs):
+    """The rhombicity left by rows[i] += c·rows[t] over zip(coeffs, srcs).
+
+    Reads gram and changes nothing.  The sheared row's scalar products are
+    D = g_i + sum c·g_t, its squared norm is D_i + sum c·D_t, and r trades
+    row i's weight for the new row's (off-diagonal entries count twice).
+    """
+    gi = gram[i]
+    steps = [(c, t) for c, t in zip(coeffs, srcs) if c]
+    if not steps:
+        return r
+    dots = gi
+    for c, t in steps:
+        dots = [a + c * b for a, b in zip(dots, gram[t])]
+    norm = dots[i] + sum(c * dots[t] for c, t in steps)
+    return (r - 2 * sum(map(abs, gi)) + gi[i]
+            + 2 * (sum(map(abs, dots)) - abs(dots[i])) + norm)
 
 
 @dataclass
@@ -74,26 +100,30 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         adj = _adjugate(state.gram)
     i = 0
     while i < n:
+        # screening order: the other rows, then row i
         rest = [t for t in range(n) if t != i]
-        cand = Candidate(state, adj, i)
         if reduce_sublattice:
-            # isolate row i last and norm-sort the rest in one permute
+            # norm-sort the rest and reduce it on a candidate
             rest.sort(key=lambda t: state.gram[t][t])
-            cand.permute(rest + [i])
+            cand = Candidate(state, adj, rest + [i])
             _lagrange(cand, m, lagrange_variant)
-            srcs = range(m)
+            gram, arow, r = cand.gram, cand.arow, cand.r
+            target, srcs = m, range(m)
         else:
-            # the shear reads row i in place; the candidate moves it last
-            # only once the screening is accepted
-            srcs = rest
-        target = cand.pos
-        for c, t in zip(_shear_coeffs(cand.arow, target), srcs):
-            if c:
-                cand.replace(target, c, t)
-        if cand.r < state.r:
+            # score the shear of row i where it stands; only an accepted
+            # screening makes a candidate
+            gram, arow, r = state.gram, adj[i], state.r
+            target, srcs = i, rest
+        coeffs = _shear_coeffs(arow, target)
+        r = _sheared_r(gram, r, target, coeffs, srcs)
+        if r < state.r:
             before = tuple(state.row(i)) if trace is not None else None
             if not reduce_sublattice:
-                cand.permute(rest + [i])
+                cand = Candidate(state, adj, rest + [i])
+            for c, t in zip(coeffs, range(m)):
+                if c:
+                    cand.replace(m, c, t)
+            assert cand.r == r
             cand.replay(state, adj)
             if trace is not None:
                 # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]

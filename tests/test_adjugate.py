@@ -117,8 +117,8 @@ def test_carried_adjugate_matches_a_fresh_one(rows, data):
     g = det(state.gram)
     assert g > 0
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
-        cand = Candidate(state, adj, data.draw(st.integers(0, n - 1),
-                                               label="pos"))
+        cand = Candidate(state, adj, data.draw(st.permutations(range(n)),
+                                               label="order"))
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
             step = _candidate_step(data.draw, cand)
             if step is not None:
@@ -172,66 +172,63 @@ def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
 @given(rows=bases(st.integers(2, 6)))
 def test_pass_reads_an_exact_adjugate_at_every_screening(
         rows, reduce_sublattice, variant):
-    # every screening starts a Candidate from the state and the pass's
-    # adjugate and shears it through replace; an accepted one is replayed
-    # into both.  Check the adjugate at every screening start and after
-    # every replay, and the candidate's adjugate row at every shear read
-    # and every replace
-    cands, replays = [], []
-    init, replace, replay = (Candidate.__init__, Candidate.replace,
-                             Candidate.replay)
+    # every screening reads one adjugate row for its shear coefficients
+    # and scores the shear against a Gram matrix: the state's, or that of
+    # a Candidate whose other rows it reduced.  The row must be the row of
+    # a fresh adjugate of that Gram matrix, at the sheared position.  An
+    # accepted screening is replayed into the state and the pass's
+    # adjugate, which must then be exact
+    reads, scores, replays = [], [], []
+    shear, score, replay = (hyperplanar._shear_coeffs,
+                            hyperplanar._sheared_r, Candidate.replay)
     g = det(rows) ** 2
 
-    def exact_row(cand):
-        return cand.arow == _adjugate(cand.gram)[cand.pos]
-
-    def checked_init(self, state, adj, pos):
-        assert_exact(state, adj, g)
-        init(self, state, adj, pos)
-        assert exact_row(self)
-        cands.append(self)
-
     def checked_shear(arow, i):
-        cand = cands[-1]
-        assert arow is cand.arow and i == cand.pos
-        assert exact_row(cand)
+        reads.append((arow[:], i))
         return shear(arow, i)
 
-    def checked_replace(self, idx, k, src):
-        assert exact_row(self)
-        replace(self, idx, k, src)
+    def checked_score(gram, r, i, coeffs, srcs):
+        arow, pos = reads[-1]
+        assert i == pos
+        assert arow == _adjugate(gram)[i]
+        scores.append(i)
+        return score(gram, r, i, coeffs, srcs)
 
     def checked_replay(self, state, adj):
         replay(self, state, adj)
         assert_exact(state, adj, g)
         replays.append(self)
 
-    shear = hyperplanar._shear_coeffs
     state = BasisState(rows)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Candidate, "__init__", checked_init)
-        mp.setattr(Candidate, "replace", checked_replace)
-        mp.setattr(Candidate, "replay", checked_replay)
         mp.setattr(hyperplanar, "_shear_coeffs", checked_shear)
+        mp.setattr(hyperplanar, "_sheared_r", checked_score)
+        mp.setattr(Candidate, "replay", checked_replay)
         _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice)
-    # one screening per row after the last acceptance, at least
-    assert len(cands) >= len(rows) + len(replays)
+    # each screening reads one row and scores once; one screening per row
+    # after the last acceptance, at least
+    assert len(reads) == len(scores) >= len(rows) + len(replays)
     assert state.consistent()
 
 
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_candidate_follows_the_state_it_was_made_from(rows, data):
-    # a Candidate and a copy of its state run the same steps; the
-    # candidate must match the copy's gram, r and s and carry the row at
-    # pos of the copy's adjugate, and replaying it must turn its state
-    # into the copy and its adjugate into the copy's
+    # a Candidate made with an order and a copy of its state permuted by
+    # it run the same steps; the candidate must match the copy's gram, r
+    # and s and carry the row at pos of the copy's adjugate, and replaying
+    # it must turn its state into the copy and its adjugate into the copy's
     n = len(rows)
     state = BasisState(rows)
     adj = _adjugate(state.gram)
     g = det(state.gram)
     ref = state.copy()
-    cand = Candidate(state, adj, data.draw(st.integers(0, n - 1), label="pos"))
+    order = data.draw(st.permutations(range(n)), label="order")
+    cand = Candidate(state, adj, order)
+    ref.permute(order)
+    assert (cand.gram, cand.r, cand.s) == (ref.gram, ref.r, ref.s)
+    assert cand.pos == n - 1
+    assert cand.arow == _adjugate(ref.gram)[cand.pos]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         step = _candidate_step(data.draw, cand)
         if step is None:

@@ -22,13 +22,13 @@ def shear(isolated, sub):
 
     The coefficients are read off a Candidate of sub + [isolated] built
     with the basis's adjugate and applied through replace, as the pass
-    does when it shears a row in place; the candidate is replayed and the
+    does once it accepts a shear; the candidate is replayed and the
     adjugate checked against a fresh one.
     """
     state = BasisState(list(sub) + [isolated])
     adj = _adjugate(state.gram)
     m = len(sub)
-    cand = Candidate(state, adj, m)
+    cand = Candidate(state, adj, list(range(m + 1)))
     for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
         if c:
             cand.replace(m, c, t)

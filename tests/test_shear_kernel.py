@@ -5,7 +5,9 @@ adjugate of the metric tensor (round(adj_it / adj_ii)), carried through a
 screening's row operations by a Candidate.  The oracle builds the
 hyperplane normal, the rational gap to the perpendicular foot and solves
 for its sublattice coordinates from the row coordinates; both must round
-to the same integers, ties included.
+to the same integers, ties included.  The pass rounds a ratio of at most
+1/2 in magnitude to 0 without dividing, and scores a shear before it
+applies one: both shortcuts must agree with the long way exactly.
 """
 
 from fractions import Fraction
@@ -17,8 +19,8 @@ from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
 from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
-from cubify.exact import _adjugate, _solve_fraction_free
-from cubify.hyperplanar import _shear_coeffs
+from cubify.exact import _adjugate, _round_ratio, _solve_fraction_free
+from cubify.hyperplanar import _shear_coeffs, _sheared_r
 
 SMALL = st.integers(-20, 20)
 BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
@@ -57,13 +59,12 @@ def test_kernel_matches_geometric_oracle(rows, data):
     state = BasisState(rows)
     # taken before the rows move, so the kernel reads the replayed adjugate
     adj = _adjugate(state.gram)
-    cand = Candidate(state, adj, i)
     rest = [t for t in range(n) if t != i]
     reduce_sublattice = data.draw(st.booleans(), label="sublattice lagrange")
     if reduce_sublattice:
         # the pass's order: the rest norm-sorted, row i last
         rest.sort(key=lambda t: state.gram[t][t])
-    cand.permute(rest + [i])
+    cand = Candidate(state, adj, rest + [i])
     if reduce_sublattice:
         _lagrange(cand, m, data.draw(st.sampled_from(Variant), label="variant"))
     cand.replay(state, adj)
@@ -131,3 +132,72 @@ def test_constructed_ties_under_unimodular_mixing(n, data):
     adj = _adjugate(metric_tensor(sub + [isolated]))
     assert adj[m][m] > 0
     assert _shear_coeffs(adj[m], m) == oracle(isolated, sub)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=bases(), data=st.data())
+def test_shear_score_is_the_r_the_replaces_reach(rows, data):
+    # _sheared_r scores rows[i] += sum c·rows[t] without applying it; a
+    # Candidate applying the same replaces must reach that r.  Scored in
+    # place (the pre-pass) and in screening order, row i last
+    n = len(rows)
+    m = n - 1
+    i = data.draw(st.integers(0, m), label="isolated")
+    rest = data.draw(st.permutations([t for t in range(n) if t != i]),
+                     label="rest")
+    coeff = st.one_of(st.integers(-3, 3), st.just(0),
+                      BIG.map(lambda x: x // 10 ** 90))
+    zeros = data.draw(st.booleans(), label="all zero")
+    coeffs = [0] * m if zeros else data.draw(
+        st.lists(coeff, min_size=m, max_size=m), label="coeffs")
+    state = BasisState(rows)
+    before = [row[:] for row in state.gram]
+    in_place = _sheared_r(state.gram, state.r, i, coeffs, rest)
+    assert state.gram == before
+    cand = Candidate(state, _adjugate(state.gram), rest + [i])
+    assert _sheared_r(cand.gram, cand.r, m, coeffs, range(m)) == in_place
+    for c, t in zip(coeffs, range(m)):
+        if c:
+            cand.replace(m, c, t)
+    assert cand.r == in_place
+    if not any(coeffs):
+        assert in_place == state.r
+
+
+@st.composite
+def adjugate_rows(draw):
+    # row i's diagonal entry d > 0; the other entries cluster around the
+    # ties ±d/2, where rounding changes, and reach far past them
+    n = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from((1, 10 ** 100)))
+    d = draw(st.integers(1, 40)) * scale + draw(st.integers(0, 1))
+    near = st.builds(lambda sign, half, off: sign * (half + off),
+                     st.sampled_from((1, -1)),
+                     st.sampled_from((d // 2, (d + 1) // 2)),
+                     st.integers(-2, 2))
+    far = st.integers(-3 * d, 3 * d)
+    row = draw(st.lists(st.one_of(near, far, BIG), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    row[i] = d
+    return row, i
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=adjugate_rows())
+def test_zero_shortcut_rounds_like_round_ratio(case):
+    arow, i = case
+    d = arow[i]
+    expected = [_round_ratio(a, d) for t, a in enumerate(arow) if t != i]
+    assert _shear_coeffs(arow, i) == expected
+
+
+@pytest.mark.parametrize("a, d", [
+    (1, 2), (-1, 2), (3, 6), (-3, 6),            # ties ±1/2 round to 0
+    (2, 3), (-2, 3), (4, 6), (-4, 6),            # just past a half
+    (1, 3), (-1, 3), (0, 1), (5, 10), (-5, 10),
+    (10 ** 100, 2 * 10 ** 100), (-10 ** 100, 2 * 10 ** 100),
+    (10 ** 100 + 1, 2 * 10 ** 100), (-10 ** 100 - 1, 2 * 10 ** 100),
+])
+def test_zero_shortcut_at_the_ties(a, d):
+    assert _shear_coeffs([d, a], 0) == [_round_ratio(a, d)]
+    assert _shear_coeffs([a, d], 1) == [_round_ratio(a, d)]

@@ -1,21 +1,28 @@
 """The sweep loops skip only work that cannot change the result.
 
-_lagrange tests each pair's fixpoint inline (2|g_ij| <= min(g_ii, g_jj))
-and rounds a quotient only for a pair that steps; _simplify scores each
-unordered pair at most once between two accepted changes.  Both must take
-exactly the steps of the plain loops below, which evaluate every ordered
-pair in every sweep, and must leave the same state.  The counter tests pin
-the work saved in operation counts, not in seconds.
+_lagrange tests each pair's fixpoint inline (2|g_ij| <= min(g_ii, g_jj)),
+rounds a quotient only for a pair that steps, and until a sweep's first
+step tests each unordered pair once; _simplify scores each unordered pair
+at most once between two accepted changes.  Both must take exactly the
+steps of the plain loops below, which evaluate every ordered pair in every
+sweep, and must leave the same state.  _hyperplanar scores each shear
+before it applies it and makes a Candidate for a pre-pass screening only
+once it is accepted; it must end where the screening loop it replaced
+ends.  The counter tests pin the work saved in operation counts, not in
+seconds.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubify import GeneratorSpec, Variant, det, generate
-from cubify import directional
+from cubify import directional, hyperplanar
 from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange, _roles, _sign, _simplify
 from cubify.exact import _adjugate, _round_ratio
+from cubify.hyperplanar import _hyperplanar
+
+from test_bit_identity import _het20_permuted
 
 SMALL = st.integers(-9, 9)
 BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
@@ -96,6 +103,55 @@ def plain_simplify(state, variant):
                 changed = True
 
 
+class LongCandidate(Candidate):
+    """A Candidate made as the loop below makes one: an unpermuted copy of
+    gram, r and s and the adjugate row of the row at pos."""
+
+    __slots__ = ()
+
+    def __init__(self, state, adj, pos):
+        self.gram = [r[:] for r in state.gram]
+        self.r = state.r
+        self.s = state.s
+        self.pos = pos
+        self.arow = adj[pos][:]
+        self.log = []
+
+
+def long_hyperplanar(state, variant, reduce_sublattice):
+    """The screening loop that applies every shear to a Candidate before
+    judging it; returns the adjugate of the final gram."""
+    n = len(state.gram)
+    m = n - 1
+    adj = _adjugate(state.gram)
+    i = 0
+    while i < n:
+        rest = [t for t in range(n) if t != i]
+        cand = LongCandidate(state, adj, i)
+        if reduce_sublattice:
+            rest.sort(key=lambda t: state.gram[t][t])
+            cand.permute(rest + [i])
+            plain_lagrange(cand, m, variant)
+            srcs = range(m)
+        else:
+            srcs = rest
+        target = cand.pos
+        d = cand.arow[target]
+        coeffs = [_round_ratio(cand.arow[t], d) for t in range(n)
+                  if t != target]
+        for c, t in zip(coeffs, srcs):
+            if c:
+                cand.replace(target, c, t)
+        if cand.r < state.r:
+            if not reduce_sublattice:
+                cand.permute(rest + [i])
+            cand.replay(state, adj)
+            i = 0
+        else:
+            i += 1
+    return adj
+
+
 # -- states that log every row operation they take --------------------------
 
 class _Logged:
@@ -163,10 +219,8 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
                      label="rest")
     state = BasisState(rows)
     adj = _adjugate(state.gram)
-    new, plain = (LoggedCandidate(state, adj, pos),
-                  LoggedCandidate(state, adj, pos))
-    for cand in (new, plain):
-        cand.permute(rest + [pos])
+    new, plain = (LoggedCandidate(state, adj, rest + [pos]),
+                  LoggedCandidate(state, adj, rest + [pos]))
     _lagrange(new, n - 1, variant)
     plain_lagrange(plain, n - 1, variant)
     assert _trial(new) == _trial(plain)
@@ -185,6 +239,18 @@ def test_simplify_takes_the_plain_loops_steps(rows, lagrange, variant):
     _simplify(new, variant)
     plain_simplify(plain, variant)
     assert _full(new) == _full(plain)
+
+
+@pytest.mark.parametrize("reduce_sublattice", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(rows=bases(st.integers(2, 7)), variant=st.sampled_from(Variant))
+def test_hyperplanar_ends_where_the_long_screening_loop_ends(
+        rows, variant, reduce_sublattice):
+    new, long = BasisState(rows), BasisState(rows)
+    adj = _hyperplanar(new, variant, reduce_sublattice=reduce_sublattice)
+    long_adj = long_hyperplanar(long, variant, reduce_sublattice)
+    assert (new.trans, new.gram, new.r, new.s, adj) == (
+        long.trans, long.gram, long.r, long.s, long_adj)
 
 
 @pytest.mark.parametrize("x, a, b", [
@@ -241,3 +307,49 @@ def test_a_simplified_state_scores_each_pair_once(monkeypatch, variant):
     _simplify(state, variant)
     assert len(calls) <= n * (n - 1) // 2
     assert state.trans == before.trans and state.gram == before.gram
+
+
+class _CountedAbs(int):
+    """A Gram entry that counts the fixpoint tests reading it."""
+
+    tests = 0
+
+    def __abs__(self):
+        _CountedAbs.tests += 1
+        return int.__abs__(self)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_reduced_state_tests_each_pair_once(monkeypatch, variant):
+    # the confirming sweep takes no step, so it tests (i, j) and never
+    # its mirror (j, i)
+    n = 10
+    state = BasisState(generate(GeneratorSpec("full", n, (0, 100), seed=3)))
+    _lagrange(state, n, variant)
+    before = state.copy()
+    state.gram = [[_CountedAbs(x) for x in row] for row in state.gram]
+    monkeypatch.setattr(_CountedAbs, "tests", 0)
+    _lagrange(state, n, variant)
+    assert _CountedAbs.tests == n * (n - 1) // 2
+    assert state.trans == before.trans and state.gram == before.gram
+
+
+def test_the_pre_pass_makes_a_candidate_only_for_an_accepted_shear(
+        monkeypatch):
+    # het20 as perfbench feeds it, matrix 0: most pre-pass screenings are
+    # rejected, and a rejected one is scored on the state in place
+    state = BasisState(_het20_permuted(0).rows)
+    screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
+    made = []
+    init = Candidate.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Candidate, "__init__", counting)
+    accepted = []
+    _hyperplanar(state, Variant.INSERT, reduce_sublattice=False,
+                 trace=accepted)
+    assert len(made) == len(accepted) > 0
+    assert len(screenings) > 4 * len(accepted)
