@@ -9,9 +9,11 @@ rows are trans · base; no pass reads them, so they are formed on demand
 Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
 another, swap exchanges two rows, negate flips one, all in O(N); permute
-reorders all rows at once.  pair_r(u, v, s) scores the two replaces a
-simplification step chooses between without applying either.  No code
-outside this module updates trans, gram, r or s.
+reorders all rows at once.  pair_r(u, v, s, w) scores the two replaces a
+simplification step chooses between without applying either, from row
+weights w the sweep computes once per unchanged state.  Every row update
+x + k·y goes through _axpy, which maps add or sub at C speed for k = ±1.
+No code outside this module updates trans, gram, r or s.
 
 The hyperplanar pass reads the integer adjugate of gram, which each pass
 hands on to the next.  In between, the state records its steps in log (a
@@ -26,9 +28,22 @@ through Candidate.replay.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
 from .exact import _matmul, metric_tensor
+
+
+def _axpy(x, k, y):
+    """x + k·y as a new list.
+
+    k = ±1, the step of every simplification and of most divisions, maps
+    add or sub over the rows at C speed; other k take the comprehension.
+    """
+    if k == 1:
+        return list(map(add, x, y))
+    if k == -1:
+        return list(map(sub, x, y))
+    return [a + k * b for a, b in zip(x, y)]
 
 
 def _reordered(m, order):
@@ -55,10 +70,12 @@ def _replay(log, adj, trans=None):
     starts from.  Unimodular steps leave det(G) unchanged, and a step with
     matrix T moves adj to adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹: replace(idx, k, src)
     moves row src by -k times row idx, then column src by -k times column
-    idx, and negate flips row and column idx.  swap and permute only
-    compose a position map, pos[t] being the list row now at position t;
-    adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered once, at the
-    end.
+    idx, and negate flips row and column idx.  adj stays symmetric, so the
+    moved column src is the moved row src with its diagonal entry moved
+    once more, and is written from it with one store per row.  swap and
+    permute only compose a position map, pos[t] being the list row now at
+    position t; adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered
+    once, at the end.
     """
     n = len(adj)
     pos = list(range(n))
@@ -67,11 +84,13 @@ def _replay(log, adj, trans=None):
         if op == "replace":
             _, idx, k, src = step
             a, b = pos[idx], pos[src]
-            adj[b] = [x - k * y for x, y in zip(adj[b], adj[a])]
-            for row in adj:
-                row[b] -= k * row[a]
+            new = _axpy(adj[b], -k, adj[a])
+            new[b] -= k * new[a]
+            adj[b] = new
+            for row, x in zip(adj, new):
+                row[b] = x
             if trans is not None:
-                trans[a] = [x + k * y for x, y in zip(trans[a], trans[b])]
+                trans[a] = _axpy(trans[a], k, trans[b])
         elif op == "swap":
             _, a, b = step
             pos[a], pos[b] = pos[b], pos[a]
@@ -130,30 +149,32 @@ class BasisState:
         """
         g = self.gram
         gi, gs = g[idx], g[src]
-        dots = [a + k * b for a, b in zip(gi, gs)]
+        dots = _axpy(gi, k, gs)
         dots[idx] = gi[idx] + 2 * k * gi[src] + k * k * gs[src]
         # a row's weight in r: off-diagonal entries count twice
         r = (self.r - 2 * sum(map(abs, gi)) + gi[idx]
              + 2 * sum(map(abs, dots)) - dots[idx])
         return dots, r
 
-    def pair_r(self, u, v, s):
+    def pair_r(self, u, v, s, w):
         """The rhombicities replace(u, -s, v) and replace(v, -s, u) would
         leave, for s = ±1, in O(N).
 
-        The new rows u - s·v and v - s·u = -s·(u - s·v) are one vector up
-        to sign: both have the scalar products D_t = g_ut - s·g_vt up to
-        sign and the norm D_u - s·D_v.  The two scores differ only in the
-        old row whose weight leaves r and the entry of D the norm replaces.
+        w[t] is sum(map(abs, gram[t])), row t's weights on this state.  The
+        new rows u - s·v and v - s·u = -s·(u - s·v) are one vector up to
+        sign: both have the scalar products D_t = g_ut - s·g_vt up to sign
+        and the norm D_u - s·D_v.  The two scores differ only in the old
+        row whose weight leaves r and the entry of D the norm replaces.
+        sum |D| is one pass of C-level maps; no list is built.
         """
         g = self.gram
         gu, gv = g[u], g[v]
-        d = [a - s * b for a, b in zip(gu, gv)]
-        du, dv = abs(d[u]), abs(d[v])
+        total = sum(map(abs, map(sub if s > 0 else add, gu, gv)))
+        du, dv = gu[u] - s * gv[u], gu[v] - s * gv[v]
         # a row's weight in r: off-diagonal entries count twice
-        new = self.r + 2 * sum(map(abs, d)) + d[u] - s * d[v]
-        return (new - 2 * (sum(map(abs, gu)) + du) + gu[u],
-                new - 2 * (sum(map(abs, gv)) + dv) + gv[v])
+        new = self.r + 2 * total + du - s * dv
+        return (new - 2 * (w[u] + abs(du)) + gu[u],
+                new - 2 * (w[v] + abs(dv)) + gv[v])
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx), in O(N).
@@ -164,7 +185,7 @@ class BasisState:
         g = self.gram
         self.s += dots[idx] - g[idx][idx]
         t = self.trans
-        t[idx] = [a + k * b for a, b in zip(t[idx], t[src])]
+        t[idx] = _axpy(t[idx], k, t[src])
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x

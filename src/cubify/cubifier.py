@@ -238,15 +238,17 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
             break
 
     transform = tuple(tuple(r) for r in state.trans)
-    reduced = Basis(state.rows)
-    # exit self-check: the output (transform · input by construction) must
-    # have the tracked metric tensor, which R and S are read off, and the
-    # transform must be unimodular
+    # exit self-check: the transform must be unimodular, and the output
+    # (transform · input by construction) must have the tracked metric
+    # tensor, which R and S are read off.  A unimodular transform of the
+    # validated input gives a nonsingular output, so Basis need not take
+    # its determinant again
+    if abs(det(transform)) != 1:
+        raise AssertionError("transform is not unimodular")
+    reduced = Basis._checked_elsewhere(state.rows)
     gram = metric_tensor(reduced)
     if gram != tuple(tuple(r) for r in state.gram):
         raise AssertionError("output metric tensor differs from the tracked one")
-    if abs(det(transform)) != 1:
-        raise AssertionError("transform is not unimodular")
 
     timings["total"] = time.perf_counter() - t_start
     report = ReductionReport(

@@ -20,7 +20,9 @@ every pair again.  Simplification scores each unordered pair at most once
 between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
-(BasisState.pair_r), from the scalar products they share.
+(BasisState.pair_r), from the scalar products they share and from row
+weights sum |g_t| that the sweep computes once per unchanged state: at its
+start and after each accepted change.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ def _lagrange(state, m, variant):
                 di = gi[i]
 
 
-def _sign(x):
-    return (x > 0) - (x < 0)
-
-
 def _simplify(state, variant):
     """Single-step combinations accepted only on strict rhombicity decrease."""
     n = len(state.gram)
@@ -97,21 +95,29 @@ def _simplify(state, variant):
         changed = False
         # visit number i·n + j of the sweep's last accepted change
         last = -1
+        g = state.gram
+        # row weights for pair_r, on the state as it stands
+        w = [sum(map(abs, row)) for row in g]
         for i in range(n):
+            gi = g[i]
+            di = gi[i]
             for j in range(n):
                 if i == j:
                     continue
                 if j < i and last < j * n + i:
                     # (j, i) was scored on this same state and rejected
                     continue
-                u, v = _roles(state, i, j)
-                s = _sign(state.gram[u][v])
-                if s == 0:
+                x = gi[j]
+                if not x:
                     continue
+                # _roles and the sign of g_uv = g_ij, inline
+                dj = g[j][j]
+                u, v = (i, j) if di < dj or (di == dj and i < j) else (j, i)
+                s = 1 if x > 0 else -1
                 # the remainder v - s·u replaces row u or row v; in u's slot
                 # it is -s·(u - s·v), whose scalar products differ from
                 # those of u - s·v only in sign, so R is the same
-                r_u, r_v = state.pair_r(u, v, s)
+                r_u, r_v = state.pair_r(u, v, s, w)
                 if r_u < state.r:
                     target = u
                     state.replace(u, -s, v)
@@ -128,6 +134,10 @@ def _simplify(state, variant):
                     state.sort_by_norm()
                 last = i * n + j
                 changed = True
+                # the change rebuilt rows and may have moved every row
+                w = [sum(map(abs, row)) for row in g]
+                gi = g[i]
+                di = gi[i]
 
 
 def lagrange_division(b, variant=Variant.INSERT) -> Basis:

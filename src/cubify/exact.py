@@ -57,6 +57,14 @@ class Basis:
             raise SingularBasisError("basis rows are linearly dependent")
         self.rows = rows
 
+    @classmethod
+    def _checked_elsewhere(cls, rows):
+        """A Basis of rows the caller has shown square, integral and
+        nonsingular, built without repeating the checks."""
+        b = cls.__new__(cls)
+        b.rows = tuple(tuple(r) for r in rows)
+        return b
+
     @property
     def dim(self):
         return len(self.rows)

@@ -11,16 +11,17 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
 
 The pass holds D exactly as the integer adjugate adj(G) = det(G)·D.
 Unimodular row operations carry it along in O(N) per step because det(G)
-never changes, so one fraction-free solve serves a whole reduction: a pass
-takes the adjugate the previous pass returned, brought up to date by the
-driver with the steps the state logged since (see _state._replay), and
-computes it afresh only when handed none.  Within a pass only accepted
-screenings move it (see Candidate.replay).  A screening rounds
-adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get the
-lattice point of x's layer nearest the foot in sublattice coordinates; x
-is replaced by it when the full-basis rhombicity strictly drops.  This
-is the package's one shear computation: a screening builds no normal
-vector, rational gap or linear solve.  Trace records of accepted shears
+never changes; it stays symmetric, so a replace forms the moved row once
+and writes the matching column from it.  One fraction-free solve serves a
+whole reduction: a pass takes the adjugate the previous pass returned,
+brought up to date by the driver with the steps the state logged since
+(see _state._replay), and computes it afresh only when handed none.
+Within a pass only accepted screenings move it (see Candidate.replay).  A
+screening rounds adj_ij / adj_ii (adj_ii > 0) half to even, like
+nearest_int, to get the lattice point of x's layer nearest the foot in
+sublattice coordinates; x is replaced by it when the full-basis
+rhombicity strictly drops.  This is the package's one shear computation:
+a screening builds no normal vector, rational gap or linear solve.  Trace records of accepted shears
 take the hyperplane's primitive normal from the same dual row.
 
 A screening scores its shear before applying it (_sheared_r): the sheared
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._state import BasisState, Candidate
+from ._state import BasisState, Candidate, _axpy
 from .directional import Variant, _lagrange
 from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
 
@@ -62,8 +63,9 @@ def _sheared_r(gram, r, i, coeffs, srcs):
     """The rhombicity left by rows[i] += c·rows[t] over zip(coeffs, srcs).
 
     Reads gram and changes nothing.  The sheared row's scalar products are
-    D = g_i + sum c·g_t, its squared norm is D_i + sum c·D_t, and r trades
-    row i's weight for the new row's (off-diagonal entries count twice).
+    D = g_i + sum c·g_t, accumulated row by row with _axpy (C speed for
+    c = ±1), its squared norm is D_i + sum c·D_t, and r trades row i's
+    weight for the new row's (off-diagonal entries count twice).
     """
     gi = gram[i]
     steps = [(c, t) for c, t in zip(coeffs, srcs) if c]
@@ -71,7 +73,7 @@ def _sheared_r(gram, r, i, coeffs, srcs):
         return r
     dots = gi
     for c, t in steps:
-        dots = [a + c * b for a, b in zip(dots, gram[t])]
+        dots = _axpy(dots, c, gram[t])
     norm = dots[i] + sum(c * dots[t] for c, t in steps)
     return (r - 2 * sum(map(abs, gi)) + gi[i]
             + 2 * (sum(map(abs, dots)) - abs(dots[i])) + norm)

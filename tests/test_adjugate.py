@@ -3,8 +3,9 @@
 permute, swap, negate and replace (and so the division steps of _lagrange)
 update a BasisState's gram, r and s in place; after any sequence of them
 the state must match a rebuild from its rows, and det(G) must not have
-moved.  pair_r must predict both replaces a simplification step chooses
-between, and a replace must undo exactly.
+moved.  pair_r, given the row weights sum |g_t|, must predict both
+replaces a simplification step chooses between, and a replace must undo
+exactly.
 
 The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
 A Candidate made from the state carries a single adjugate row through its
@@ -18,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubify import Variant, det
 from cubify import hyperplanar
-from cubify._state import BasisState, Candidate, _reordered
+from cubify._state import BasisState, Candidate, _axpy, _reordered
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate
 from cubify.hyperplanar import _hyperplanar
@@ -144,6 +145,22 @@ def _snapshot(state):
             state.r, state.s)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.one_of(st.sampled_from((-1, 0, 1)),
+                                   st.integers(-20, 20), BIG))
+def test_axpy_is_the_comprehension(data, k):
+    n = data.draw(st.integers(0, 8), label="length")
+    vector = st.lists(ENTRIES[data.draw(st.sampled_from(sorted(ENTRIES)),
+                                        label="entries")],
+                      min_size=n, max_size=n)
+    x, y = data.draw(vector, label="x"), data.draw(vector, label="y")
+    x0, y0 = x[:], y[:]
+    got = _axpy(x, k, y)
+    assert type(got) is list and got is not x and got is not y
+    assert got == [a + k * b for a, b in zip(x0, y0)]
+    assert (x, y) == (x0, y0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
@@ -152,7 +169,8 @@ def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
     s = data.draw(st.sampled_from((1, -1)), label="s")
     k = data.draw(st.integers(-5, 5), label="k")
     before = _snapshot(state)
-    predicted = state.pair_r(u, v, s)
+    w = [sum(map(abs, row)) for row in state.gram]
+    predicted = state.pair_r(u, v, s, w)
     assert _snapshot(state) == before
     for (idx, src), r in zip(((u, v), (v, u)), predicted):
         state.replace(idx, -s, src)

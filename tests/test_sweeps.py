@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cubify import GeneratorSpec, Variant, det, generate
 from cubify import directional, hyperplanar
 from cubify._state import BasisState, Candidate
-from cubify.directional import _lagrange, _roles, _sign, _simplify
+from cubify.directional import _lagrange, _roles, _simplify
 from cubify.exact import _adjugate, _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
@@ -41,6 +41,10 @@ def bases(draw, dims=st.integers(1, 8)):
 
 
 # -- the plain loops: every ordered pair, every sweep ----------------------
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
 
 def plain_lagrange(state, m, variant):
     """Division sweeps over rows[:m] until every rounded quotient is zero."""
