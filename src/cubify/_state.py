@@ -8,22 +8,23 @@ rows are trans · base; no pass reads them, so they are formed on demand
 
 Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
-another, swap exchanges two rows, negate flips one, all in O(N); permute
-reorders all rows at once.  pair_r(u, v, s, w) scores the two replaces a
-simplification step chooses between without applying either, from row
-weights w the sweep computes once per unchanged state.  Every row update
-x + k·y goes through _axpy, which maps add or sub at C speed for k = ±1.
-No code outside this module updates trans, gram, r or s.
+another and negate flips one, both in O(N); permute reorders all rows at
+once.  pair_r(u, v, s, w) scores the two replaces a simplification step
+chooses between without applying either, from row weights w the sweep
+computes once per unchanged state.  Every row update x + k·y goes through
+_axpy, which maps add or sub at C speed for k = ±1.  No code outside this
+module updates trans, gram, r or s.
 
 The hyperplanar pass reads the integer adjugate of gram, which each pass
 hands on to the next.  In between, the state records its steps in log (a
 list once the driver sets one; None, the default, records nothing), and
 _replay applies the record to the carried adjugate before the next pass.
 A screening that reduces the other rows first runs them on a Candidate,
-a reordered copy of gram, r, s and one adjugate row, which logs its steps
-the same way; an accepted shear is applied to a Candidate too.  The
-state's trans and the adjugate follow only when a screening is accepted,
-through Candidate.replay.
+an unpermuted copy of gram, r, s and one adjugate row, which logs its
+steps the same way; an accepted shear is applied to a Candidate too.  A
+Candidate's rows move once, when the screening is accepted, by one
+permute just before Candidate.replay; the state's trans and the
+adjugate follow only then.  A rejected screening reorders nothing.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ def _reordered(m, order):
     return [list(pick(row)) for row in pick(m)]
 
 
-def _swap(m, a, b):
-    """Exchange rows a and b and columns a and b of m in place."""
-    m[a], m[b] = m[b], m[a]
-    for row in m:
-        row[a], row[b] = row[b], row[a]
-
-
 def _replay(log, adj, trans=None):
     """Apply logged steps to an adjugate, and to trans if given, in place.
 
@@ -72,8 +66,8 @@ def _replay(log, adj, trans=None):
     moves row src by -k times row idx, then column src by -k times column
     idx, and negate flips row and column idx.  adj stays symmetric, so the
     moved column src is the moved row src with its diagonal entry moved
-    once more, and is written from it with one store per row.  swap and
-    permute only compose a position map, pos[t] being the list row now at
+    once more, and is written from it with one store per row.  permute
+    only composes a position map, pos[t] being the list row now at
     position t; adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered
     once, at the end.
     """
@@ -91,9 +85,6 @@ def _replay(log, adj, trans=None):
                 row[b] = x
             if trans is not None:
                 trans[a] = _axpy(trans[a], k, trans[b])
-        elif op == "swap":
-            _, a, b = step
-            pos[a], pos[b] = pos[b], pos[a]
         elif op == "negate":
             a = pos[step[1]]
             adj[a] = [-x for x in adj[a]]
@@ -192,14 +183,6 @@ class BasisState:
         if self.log is not None:
             self.log.append(("replace", idx, k, src))
 
-    def swap(self, a, b):
-        """Exchange rows a and b, in O(N); r and s are unchanged."""
-        t = self.trans
-        t[a], t[b] = t[b], t[a]
-        _swap(self.gram, a, b)
-        if self.log is not None:
-            self.log.append(("swap", a, b))
-
     def negate(self, idx):
         """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
         self.trans[idx] = [-x for x in self.trans[idx]]
@@ -241,13 +224,13 @@ class Candidate:
     """A trial run of a state's steps that carries one adjugate row.
 
     adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
-    which the hyperplanar pass holds.  A Candidate holds the state's gram
-    with its rows reordered, r and s, pos (one row's position, which swap
-    and permute move; the reorder puts it last) and arow, the adjugate row
-    at pos.  It takes replace, swap and permute like BasisState, so a pass
-    runs on it unchanged, and logs them instead of updating trans and
-    adj.  Unimodular steps leave det(G) unchanged, so adj stays integral
-    over that one denominator: under replace(idx, k, src), with
+    which the hyperplanar pass holds.  A Candidate holds a copy of the
+    state's gram, r and s, with the rows where the state has them, pos
+    (one row's position, which permute moves) and arow, the adjugate row
+    at pos.  It takes replace and permute like BasisState, so a pass runs
+    on it unchanged, and logs them instead of updating trans and adj.
+    Unimodular steps leave det(G) unchanged, so adj stays integral over
+    that one denominator: under replace(idx, k, src), with
     T = I + k·E[idx][src], adj becomes adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose
     row pos differs only in entry src, by -k times entry idx, as long as
     src != pos.
@@ -257,19 +240,14 @@ class Candidate:
 
     _combined = BasisState._combined
 
-    def __init__(self, state, adj, order):
-        """A trial of state with its rows taken in order, the last one at pos.
-
-        The reorder is the candidate's first logged step, so a replay
-        applies it to the state's trans and to adj.
-        """
-        self.gram = _reordered(state.gram, order)
+    def __init__(self, state, adj, pos):
+        """A trial of state that carries the adjugate row of row pos."""
+        self.gram = [r[:] for r in state.gram]
         self.r = state.r
         self.s = state.s
-        self.pos = len(order) - 1
-        arow = adj[order[-1]]
-        self.arow = [arow[j] for j in order]
-        self.log = [("permute", order)]
+        self.pos = pos
+        self.arow = adj[pos][:]
+        self.log = []
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx, src != pos), in O(N)."""
@@ -283,14 +261,6 @@ class Candidate:
         a = self.arow
         a[src] -= k * a[idx]
         self.log.append(("replace", idx, k, src))
-
-    def swap(self, a, b):
-        _swap(self.gram, a, b)
-        ar = self.arow
-        ar[a], ar[b] = ar[b], ar[a]
-        if self.pos in (a, b):
-            self.pos = a + b - self.pos
-        self.log.append(("swap", a, b))
 
     def permute(self, order):
         self.gram = _reordered(self.gram, order)

@@ -17,9 +17,8 @@ ended on (settled).  The skip is exact:
 
 - a pass ends only after a full round in which every screening was
   rejected;
-- a screening of row x builds its candidate from the other rows stably
-  sorted by norm, x's adjugate row permuted to match, and r, which does
-  not depend on row order;
+- a screening of row x sweeps the other rows in their stable norm order
+  and reads x's adjugate row and r, which does not depend on row order;
 - adj(P·G·Pᵀ) = P·adj(G)·Pᵀ for a permutation P, so a state whose rows in
   norm order equal settled gives every row the candidate it got before,
   and the same rejection: the pass would change nothing.

@@ -16,7 +16,9 @@ fixpoint inline: the rounded quotient (half to even) is zero exactly when
 and rounds.  The test is symmetric, so until a sweep's first step each
 row visits only the pairs (i, j) with j > i: its mirror (j, i) was tested
 earlier in the sweep on the same state.  After a step every row visits
-every pair again.  Simplification scores each unordered pair at most once
+every pair again.  Division moves no Gram row while it sweeps: it places
+rows through a position map and reorders them once per call (see
+_lagrange).  Simplification scores each unordered pair at most once
 between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
@@ -38,53 +40,58 @@ class Variant(str, Enum):
     INSERT = "insert"
 
 
-def _roles(state, i, j):
-    # the shorter row plays divisor; ties go to the lower index
-    ni = state.gram[i][i]
-    nj = state.gram[j][j]
-    if ni < nj:
-        return i, j
-    if nj < ni:
-        return j, i
-    return (i, j) if i < j else (j, i)
+def _lagrange(state, m, variant, order=None):
+    """Division sweeps over rows[:m] until every rounded quotient is zero.
 
-
-def _lagrange(state, m, variant):
-    """Division sweeps over rows[:m] until every rounded quotient is zero."""
-    n = len(state.gram)
+    The sweeps leave gram where it is and move rows only in p, the
+    position map (p[t] is the Gram row at position t): a step replaces
+    one row in place and then drops both rows and appends them (APPEND)
+    or, when the remainder is no longer than the divisor, exchanges their
+    positions (INSERT).  Without order the sweep
+    covers rows[:m] and permutes state once at the end, if a row moved.
+    order, when given, lists the m rows to sweep, in sweep order; it is
+    swept in place as p and ends holding their order, and no row moves.
+    """
+    p = list(range(m)) if order is None else order
+    g = state.gram
     changed = True
     while changed:
         changed = False
         for i in range(m):
-            g = state.gram
-            gi = g[i]
-            di = gi[i]
+            a = p[i]
+            ga = g[a]
+            da = ga[a]
             # until the sweep's first step, (i, j) with j < i was tested
             # as (j, i) on this same state, and the test is symmetric
             for j in range(m) if changed else range(i + 1, m):
                 if i == j:
                     continue
-                # the fixpoint test, without _roles and _round_ratio
-                dj = g[j][j]
-                if 2 * abs(gi[j]) <= (di if di < dj else dj):
+                b = p[j]
+                # the fixpoint test, before any role or quotient
+                db = g[b][b]
+                if 2 * abs(ga[b]) <= (da if da < db else db):
                     continue
-                u, v = _roles(state, i, j)
+                # the shorter row divides; ties go to the lower position
+                u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
                 k = _round_ratio(g[u][v], g[u][u])
                 state.replace(v, -k, u)
                 if variant is Variant.APPEND:
                     # drop both, append the remainder then the divisor
-                    order = [t for t in range(m) if t not in (u, v)] + [v, u]
-                    order += range(m, n)
-                    state.permute(order)
-                elif state.gram[v][v] <= state.gram[u][u]:
-                    # the remainder takes the divisor's slot, the divisor
-                    # moves to v
-                    state.swap(u, v)
+                    p.remove(u)
+                    p.remove(v)
+                    p.append(v)
+                    p.append(u)
+                elif g[v][v] <= g[u][u]:
+                    # the remainder takes the divisor's position, the
+                    # divisor moves to the remainder's
+                    p[i], p[j] = p[j], p[i]
                 changed = True
-                # the step rebuilt row v and may have moved every row
-                g = state.gram
-                gi = g[i]
-                di = gi[i]
+                # the step rebuilt row v and may have moved the rows in p
+                a = p[i]
+                ga = g[a]
+                da = ga[a]
+    if order is None and p != list(range(m)):
+        state.permute(p + list(range(m, len(g))))
 
 
 def _simplify(state, variant):
@@ -110,7 +117,8 @@ def _simplify(state, variant):
                 x = gi[j]
                 if not x:
                     continue
-                # _roles and the sign of g_uv = g_ij, inline
+                # the shorter row divides (ties to the lower index); the
+                # sign of g_uv = g_ij
                 dj = g[j][j]
                 u, v = (i, j) if di < dj or (di == dj and i < j) else (j, i)
                 s = 1 if x > 0 else -1

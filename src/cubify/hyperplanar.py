@@ -27,11 +27,14 @@ take the hyperplane's primitive normal from the same dual row.
 A screening scores its shear before applying it (_sheared_r): the sheared
 row's scalar products and norm, and so the rhombicity it would leave, come
 from the Gram rows it combines, and nothing is written.  With sublattice
-reduction the other rows are reduced on a Candidate (see _state.py), a
-reordered copy of the Gram matrix and x's adjugate row; without it a
+reduction the other rows are reduced on a Candidate (see _state.py), an
+unpermuted copy of the Gram matrix and x's adjugate row, whose division
+sweeps only track the order they leave the rows in; without it a
 screening reads the state's Gram matrix and the adjugate in place and
-copies nothing.  Only an accepted screening applies its shear, to a
-Candidate, whose steps are then replayed into the state's transform and
+copies nothing.  Either way the shear is scored with the rows where they
+stand.  Only an accepted screening applies its shear, to a Candidate,
+moves the Candidate's rows into screening order (the other rows, then x)
+with one permute, and replays its steps into the state's transform and
 the adjugate.
 """
 
@@ -102,30 +105,32 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         adj = _adjugate(state.gram)
     i = 0
     while i < n:
-        # screening order: the other rows, then row i
-        rest = [t for t in range(n) if t != i]
+        # the other rows in row order, the rows a shear of row i combines
+        others = [t for t in range(n) if t != i]
         if reduce_sublattice:
-            # norm-sort the rest and reduce it on a candidate
-            rest.sort(key=lambda t: state.gram[t][t])
-            cand = Candidate(state, adj, rest + [i])
-            _lagrange(cand, m, lagrange_variant)
+            # reduce the others, norm-sorted, on an unpermuted copy; rest
+            # ends in the order the sweeps left them in
+            rest = sorted(others, key=lambda t: state.gram[t][t])
+            cand = Candidate(state, adj, i)
+            _lagrange(cand, m, lagrange_variant, rest)
             gram, arow, r = cand.gram, cand.arow, cand.r
-            target, srcs = m, range(m)
         else:
             # score the shear of row i where it stands; only an accepted
             # screening makes a candidate
+            rest = others
             gram, arow, r = state.gram, adj[i], state.r
-            target, srcs = i, rest
-        coeffs = _shear_coeffs(arow, target)
-        r = _sheared_r(gram, r, target, coeffs, srcs)
+        coeffs = _shear_coeffs(arow, i)
+        r = _sheared_r(gram, r, i, coeffs, others)
         if r < state.r:
             before = tuple(state.row(i)) if trace is not None else None
             if not reduce_sublattice:
-                cand = Candidate(state, adj, rest + [i])
-            for c, t in zip(coeffs, range(m)):
+                cand = Candidate(state, adj, i)
+            for c, t in zip(coeffs, others):
                 if c:
-                    cand.replace(m, c, t)
+                    cand.replace(i, c, t)
             assert cand.r == r
+            # the screening order: the other rows, then row i
+            cand.permute(rest + [i])
             cand.replay(state, adj)
             if trace is not None:
                 # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]

@@ -3,7 +3,7 @@
 From the end of the first pass on, a BasisState logs its steps, and the
 driver applies the log to the carried adjugate before the next pass
 (_replay), so that one fraction-free solve serves a whole cubify run.
-After any run of replace, swap, negate, permute, _lagrange and _simplify
+After any run of replace, negate, permute, _lagrange and _simplify
 steps, the replayed adjugate must equal a fresh one; the composed replay
 must match the plain step-by-step loop below; every adjugate the driver
 hands to a pass must be exact; and a run must solve only once.
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cubify import CubifyOptions, GeneratorSpec, Variant, cubifier, cubify, generate
 from cubify import hyperplanar
-from cubify._state import BasisState, _replay, _reordered, _swap
+from cubify._state import BasisState, _replay, _reordered
 from cubify.directional import _lagrange, _simplify
 from cubify.exact import _adjugate
 
@@ -32,8 +32,8 @@ OPTION_SETS = [None] + [
 def stepwise_replay(log, adj, trans):
     """The plain replay loop: each step applied to adj and trans in turn.
 
-    This is Candidate.replay's loop before swaps and permutes were composed
-    into one reorder, with a negate branch that flips row and column idx.
+    This is Candidate.replay's loop before permutes were composed into one
+    reorder, with a negate branch that flips row and column idx.
     """
     t = trans
     for op, *args in log:
@@ -43,10 +43,6 @@ def stepwise_replay(log, adj, trans):
             adj[src] = [x - k * y for x, y in zip(adj[src], adj[idx])]
             for row in adj:
                 row[src] -= k * row[idx]
-        elif op == "swap":
-            a, b = args
-            t[a], t[b] = t[b], t[a]
-            _swap(adj, a, b)
         elif op == "negate":
             (idx,) = args
             t[idx] = [-x for x in t[idx]]
@@ -64,14 +60,11 @@ def _logged_steps(draw, state):
     n = len(state.gram)
     state.log = []
     for _ in range(draw(st.integers(1, 8), label="steps")):
-        kind = draw(st.sampled_from(("replace", "swap", "negate", "permute",
+        kind = draw(st.sampled_from(("replace", "negate", "permute",
                                      "lagrange", "simplify")), label="kind")
         if kind == "replace":
             idx, src = draw(st.permutations(range(n)), label="rows")[:2]
             state.replace(idx, draw(st.integers(-3, 3), label="k"), src)
-        elif kind == "swap":
-            state.swap(draw(st.integers(0, n - 1), label="a"),
-                       draw(st.integers(0, n - 1), label="b"))
         elif kind == "negate":
             state.negate(draw(st.integers(0, n - 1), label="idx"))
         elif kind == "permute":

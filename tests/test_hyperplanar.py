@@ -28,7 +28,8 @@ def shear(isolated, sub):
     state = BasisState(list(sub) + [isolated])
     adj = _adjugate(state.gram)
     m = len(sub)
-    cand = Candidate(state, adj, list(range(m + 1)))
+    cand = Candidate(state, adj, m)
+    cand.permute(list(range(m + 1)))
     for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
         if c:
             cand.replace(m, c, t)

@@ -64,7 +64,8 @@ def test_kernel_matches_geometric_oracle(rows, data):
     if reduce_sublattice:
         # the pass's order: the rest norm-sorted, row i last
         rest.sort(key=lambda t: state.gram[t][t])
-    cand = Candidate(state, adj, rest + [i])
+    cand = Candidate(state, adj, i)
+    cand.permute(rest + [i])
     if reduce_sublattice:
         _lagrange(cand, m, data.draw(st.sampled_from(Variant), label="variant"))
     cand.replay(state, adj)
@@ -154,7 +155,8 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     before = [row[:] for row in state.gram]
     in_place = _sheared_r(state.gram, state.r, i, coeffs, rest)
     assert state.gram == before
-    cand = Candidate(state, _adjugate(state.gram), rest + [i])
+    cand = Candidate(state, _adjugate(state.gram), i)
+    cand.permute(rest + [i])
     assert _sheared_r(cand.gram, cand.r, m, coeffs, range(m)) == in_place
     for c, t in zip(coeffs, range(m)):
         if c:

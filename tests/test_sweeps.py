@@ -3,22 +3,25 @@
 _lagrange tests each pair's fixpoint inline (2|g_ij| <= min(g_ii, g_jj)),
 rounds a quotient only for a pair that steps, and until a sweep's first
 step tests each unordered pair once; _simplify scores each unordered pair
-at most once between two accepted changes.  Both must take exactly the
-steps of the plain loops below, which evaluate every ordered pair in every
-sweep, and must leave the same state.  _hyperplanar scores each shear
-before it applies it and makes a Candidate for a pre-pass screening only
-once it is accepted; it must end where the screening loop it replaced
-ends.  The counter tests pin the work saved in operation counts, not in
-seconds.
+at most once between two accepted changes.  Both must take the steps of
+the plain loops below, which evaluate every ordered pair in every sweep,
+and must leave the same state.  _simplify takes them at the same
+positions.  _lagrange places rows through a position map and moves them
+once, at the end, where the plain loop moves them at every step, so its
+steps are compared by the rows they combine.  _hyperplanar scores each
+shear before it applies it, makes a Candidate for a pre-pass screening
+only once it is accepted, and reorders a Candidate only once it is
+accepted; it must end where the screening loop it replaced ends.  The
+counter tests pin the work saved in operation counts, not in seconds.
 """
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cubify import GeneratorSpec, Variant, det, generate
-from cubify import directional, hyperplanar
+from cubify import _state, directional, hyperplanar
 from cubify._state import BasisState, Candidate
-from cubify.directional import _lagrange, _roles, _simplify
+from cubify.directional import _lagrange, _simplify
 from cubify.exact import _adjugate, _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
@@ -44,6 +47,17 @@ def bases(draw, dims=st.integers(1, 8)):
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+def _roles(state, i, j):
+    # the shorter row plays divisor; ties go to the lower index
+    ni = state.gram[i][i]
+    nj = state.gram[j][j]
+    if ni < nj:
+        return i, j
+    if nj < ni:
+        return j, i
+    return (i, j) if i < j else (j, i)
 
 
 def plain_lagrange(state, m, variant):
@@ -107,19 +121,22 @@ def plain_simplify(state, variant):
                 changed = True
 
 
-class LongCandidate(Candidate):
-    """A Candidate made as the loop below makes one: an unpermuted copy of
-    gram, r and s and the adjugate row of the row at pos."""
+class _Swapping:
+    """The exchange of rows a and b that plain_lagrange's INSERT step
+    takes, as the transposition permute it is."""
 
     __slots__ = ()
 
-    def __init__(self, state, adj, pos):
-        self.gram = [r[:] for r in state.gram]
-        self.r = state.r
-        self.s = state.s
-        self.pos = pos
-        self.arow = adj[pos][:]
-        self.log = []
+    def swap(self, a, b):
+        order = list(range(len(self.gram)))
+        order[a], order[b] = b, a
+        self.permute(order)
+
+
+class PlainCandidate(_Swapping, Candidate):
+    """A Candidate that plain_lagrange can run on."""
+
+    __slots__ = ()
 
 
 def long_hyperplanar(state, variant, reduce_sublattice):
@@ -131,7 +148,7 @@ def long_hyperplanar(state, variant, reduce_sublattice):
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
-        cand = LongCandidate(state, adj, i)
+        cand = PlainCandidate(state, adj, i)
         if reduce_sublattice:
             rest.sort(key=lambda t: state.gram[t][t])
             cand.permute(rest + [i])
@@ -158,19 +175,19 @@ def long_hyperplanar(state, variant, reduce_sublattice):
 
 # -- states that log every row operation they take --------------------------
 
-class _Logged:
+class _Logged(_Swapping):
+    """Logs each row operation by position (calls) and each replace by the
+    rows it combines (steps), as (label of idx before, k, label of src)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.calls = []
+        self.steps = []
 
     def replace(self, idx, k, src):
         self.calls.append(("replace", idx, k, src))
+        self.steps.append((self._label(idx), k, self._label(src)))
         super().replace(idx, k, src)
-
-    def swap(self, a, b):
-        self.calls.append(("swap", a, b))
-        super().swap(a, b)
 
     def negate(self, idx):
         self.calls.append(("negate", idx))
@@ -182,11 +199,26 @@ class _Logged:
 
 
 class LoggedState(_Logged, BasisState):
-    pass
+
+    def _label(self, t):
+        # trans is invertible, so its rows tell the rows apart
+        return tuple(self.trans[t])
 
 
 class LoggedCandidate(_Logged, Candidate):
-    pass
+    """Labels each row by its position in the state the candidate was
+    made from, tracked through every permute."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ids = list(range(len(self.gram)))
+
+    def _label(self, t):
+        return self.ids[t]
+
+    def permute(self, order):
+        self.ids = [self.ids[t] for t in order]
+        super().permute(order)
 
 
 def _state_pair(rows):
@@ -199,7 +231,7 @@ def _full(state):
 
 
 def _trial(cand):
-    return cand.calls, cand.log, cand.gram, cand.r, cand.s, cand.arow, cand.pos
+    return cand.gram, cand.r, cand.s, cand.arow, cand.pos
 
 
 @settings(max_examples=120, deadline=None)
@@ -208,7 +240,8 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
     new, plain = _state_pair(rows)
     _lagrange(new, len(rows), variant)
     plain_lagrange(plain, len(rows), variant)
-    assert _full(new) == _full(plain)
+    assert new.steps == plain.steps
+    assert _full(new)[1:] == _full(plain)[1:]
 
 
 @settings(max_examples=120, deadline=None)
@@ -216,18 +249,70 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
        data=st.data())
 def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
                                                              data):
-    # as a screening does: isolate one row last, reduce the other m = n - 1
+    # as a screening does: reduce the other m = n - 1 rows in sweep order
+    # rest on an unpermuted candidate, then put them first and row pos
+    # last; the plain loop runs on a candidate permuted so up front
     n = len(rows)
     pos = data.draw(st.integers(0, n - 1), label="pos")
     rest = data.draw(st.permutations([t for t in range(n) if t != pos]),
                      label="rest")
     state = BasisState(rows)
     adj = _adjugate(state.gram)
-    new, plain = (LoggedCandidate(state, adj, rest + [pos]),
-                  LoggedCandidate(state, adj, rest + [pos]))
-    _lagrange(new, n - 1, variant)
+    new, plain = (LoggedCandidate(state, adj, pos),
+                  LoggedCandidate(state, adj, pos))
+    order = rest[:]
+    _lagrange(new, n - 1, variant, order)
+    new.permute(order + [pos])
+    plain.permute(rest + [pos])
     plain_lagrange(plain, n - 1, variant)
+    assert new.steps == plain.steps
     assert _trial(new) == _trial(plain)
+    replayed = []
+    for cand in (new, plain):
+        copy, carried = state.copy(), [r[:] for r in adj]
+        cand.replay(copy, carried)
+        replayed.append((copy.trans, copy.gram, copy.r, copy.s, carried))
+    assert replayed[0] == replayed[1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=bases(st.integers(2, 8)), variant=st.sampled_from(Variant),
+       data=st.data())
+def test_a_swept_order_once_permuted_is_the_plain_loops_candidate(
+        rows, variant, data):
+    # any m rows but the carried one, swept in a drawn order on an
+    # unpermuted candidate, against the plain loop on a candidate
+    # permuted to that order up front
+    n = len(rows)
+    order = data.draw(st.permutations(range(n)), label="order")
+    m = data.draw(st.integers(1, n - 1), label="m")
+    state = BasisState(rows)
+    adj = _adjugate(state.gram)
+    new, plain = (PlainCandidate(state, adj, order[-1]),
+                  PlainCandidate(state, adj, order[-1]))
+    swept = order[:m]
+    _lagrange(new, m, variant, swept)
+    assert new.log == [step for step in new.log if step[0] == "replace"]
+    assert sorted(swept) == sorted(order[:m])
+    new.permute(swept + order[m:])
+    plain.permute(order)
+    plain_lagrange(plain, m, variant)
+    assert _trial(new) == _trial(plain)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=bases(), variant=st.sampled_from(Variant), data=st.data())
+def test_lagrange_moves_a_states_rows_at_most_once(rows, variant, data):
+    # over rows[:m], as the plain loop does, with one permute at the end
+    m = data.draw(st.integers(1, len(rows)), label="m")
+    new, plain = _state_pair(rows)
+    new.log = []
+    _lagrange(new, m, variant)
+    plain_lagrange(plain, m, variant)
+    ops = [step[0] for step in new.log]
+    assert "permute" not in ops[:-1]
+    assert set(ops) <= {"replace", "permute"}
+    assert _full(new)[1:] == _full(plain)[1:]
 
 
 @settings(max_examples=120, deadline=None)
@@ -357,3 +442,20 @@ def test_the_pre_pass_makes_a_candidate_only_for_an_accepted_shear(
                  trace=accepted)
     assert len(made) == len(accepted) > 0
     assert len(screenings) > 4 * len(accepted)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
+    # a full n = 12 draw, dense-hyp's kind of input: most screenings are
+    # rejected and reorder nothing; an accepted one reorders its Gram
+    # copy once, and replaying it reorders the adjugate at most once
+    state = BasisState(generate(GeneratorSpec("full", 12, (0, 100), seed=1)))
+    adj = _adjugate(state.gram)
+    screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
+    reorders = _counted(monkeypatch, _state, "_reordered")
+    accepted = []
+    _hyperplanar(state, variant, trace=accepted, adj=adj)
+    on_adj = [args for args in reorders if args[0] is adj]
+    assert len(reorders) - len(on_adj) == len(accepted) > 0
+    assert len(on_adj) <= len(accepted)
+    assert len(screenings) > 2 * len(accepted)
