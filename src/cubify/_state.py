@@ -1,37 +1,44 @@
 """Mutable working state for the reduction passes.
 
 Holds the input rows once (base, shared by every copy and never mutated),
-the accumulated row transform trans and the metric tensor of the current
-rows, with rhombicity and norm sum kept in sync incrementally.  The current
-rows are trans · base; no pass reads them, so they are formed on demand
+the accumulated row transform trans and the metric tensor gram of the
+current rows.  Rhombicity r and norm sum s are values of gram: s is its
+trace, read on demand, and r is cached.  replace drops the cached r and
+the next read rebuilds it as sum |g|; code that already knows the new
+value (an accepted simplification's score, a replayed Candidate's r) sets
+it instead.  So no row step of the working state pays for an r that
+nothing reads, such as the steps of a division sweep.  The current rows
+are trans · base; no pass reads them, so they are formed on demand
 (rows, row(i)) only for outputs, trace records and checks.
 
 Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
 another and negate flips one, both in O(N); permute reorders all rows at
-once.  pair_r(u, v, s, w) scores the two replaces a simplification step
-chooses between without applying either, from row weights w the sweep
-computes once per unchanged state.  Every row update x + k·y goes through
-_axpy, which maps add or sub at C speed for k = ±1.  No code outside this
-module updates trans, gram, r or s.
+once.  pair_r(u, v, s, w, r) scores the two replaces a simplification step
+chooses between without applying either, from row weights w and r the
+sweep reads once per unchanged state.  Every row update x + k·y goes
+through _axpy, which maps add or sub at C speed for k = ±1.  No code
+outside this module updates trans or gram.
 
 The hyperplanar pass reads the integer adjugate of gram, which each pass
 hands on to the next.  In between, the state records its steps in log (a
 list once the driver sets one; None, the default, records nothing), and
 _replay applies the record to the carried adjugate before the next pass.
 A screening that reduces the other rows first runs them on a Candidate,
-an unpermuted copy of gram, r, s and one adjugate row, which logs its
+an unpermuted copy of gram and r and of one adjugate row, which logs its
 steps the same way; an accepted shear is applied to a Candidate too.  A
-Candidate's rows move once, when the screening is accepted, by one
-permute just before Candidate.replay; the state's trans and the
+Candidate updates its r at every step, because r is the screening's
+score.  A Candidate's rows move once, when the screening is accepted, by
+one permute just before Candidate.replay; the state's trans and the
 adjugate follow only then.  A rejected screening reorders nothing.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add, itemgetter, sub
 
-from .exact import _matmul, metric_tensor
+from .exact import _matmul, metric_tensor, norm_sum
 
 
 def _axpy(x, k, y):
@@ -100,18 +107,40 @@ def _replay(log, adj, trans=None):
             trans[:] = [trans[i] for i in pos]
 
 
+def _rhombicity(g):
+    """sum |g| over a Gram matrix, as exact.rhombicity without its symmetry
+    check, which would cost about three times the sum at n = 12."""
+    return sum(map(abs, chain.from_iterable(g)))
+
+
 class BasisState:
 
-    __slots__ = ("base", "trans", "gram", "r", "s", "log")
+    __slots__ = ("base", "trans", "gram", "_r", "log")
 
     def __init__(self, rows):
         self.base = tuple(tuple(r) for r in rows)
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.gram = [list(row) for row in metric_tensor(self.base)]
-        self.r = sum(abs(x) for row in self.gram for x in row)
-        self.s = sum(self.gram[i][i] for i in range(n))
+        self._r = None
         self.log = None
+
+    @property
+    def r(self):
+        """The rhombicity of gram, rebuilt when a replace dropped it."""
+        r = self._r
+        if r is None:
+            r = self._r = _rhombicity(self.gram)
+        return r
+
+    @r.setter
+    def r(self, value):
+        self._r = value
+
+    @property
+    def s(self):
+        """The norm sum of gram."""
+        return norm_sum(self.gram)
 
     @property
     def rows(self):
@@ -127,8 +156,7 @@ class BasisState:
         c.base = self.base
         c.trans = [r[:] for r in self.trans]
         c.gram = [r[:] for r in self.gram]
-        c.r = self.r
-        c.s = self.s
+        c._r = self._r
         c.log = None
         return c
 
@@ -139,47 +167,55 @@ class BasisState:
         norm at idx; r is the rhombicity once the sum replaces row idx.
         """
         g = self.gram
-        gi, gs = g[idx], g[src]
-        dots = _axpy(gi, k, gs)
-        dots[idx] = gi[idx] + 2 * k * gi[src] + k * k * gs[src]
+        gi = g[idx]
+        dots = _axpy(gi, k, g[src])
+        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
+        dots[idx] += k * dots[src]
         # a row's weight in r: off-diagonal entries count twice
         r = (self.r - 2 * sum(map(abs, gi)) + gi[idx]
              + 2 * sum(map(abs, dots)) - dots[idx])
         return dots, r
 
-    def pair_r(self, u, v, s, w):
+    def pair_r(self, u, v, s, w, r=None):
         """The rhombicities replace(u, -s, v) and replace(v, -s, u) would
         leave, for s = ±1, in O(N).
 
-        w[t] is sum(map(abs, gram[t])), row t's weights on this state.  The
-        new rows u - s·v and v - s·u = -s·(u - s·v) are one vector up to
-        sign: both have the scalar products D_t = g_ut - s·g_vt up to sign
-        and the norm D_u - s·D_v.  The two scores differ only in the old
-        row whose weight leaves r and the entry of D the norm replaces.
-        sum |D| is one pass of C-level maps; no list is built.
+        w[t] is sum(map(abs, gram[t])), row t's weights on this state, and
+        r, when given, its rhombicity (a sweep passes both, read once per
+        unchanged state).  The new rows u - s·v and v - s·u = -s·(u - s·v)
+        are one vector up to sign: both have the scalar products
+        D_t = g_ut - s·g_vt up to sign and the norm D_u - s·D_v.  The two
+        scores differ only in the old row whose weight leaves r and the
+        entry of D the norm replaces.  sum |D| is one pass of C-level
+        maps; no list is built.
         """
+        if r is None:
+            r = self.r
         g = self.gram
         gu, gv = g[u], g[v]
         total = sum(map(abs, map(sub if s > 0 else add, gu, gv)))
         du, dv = gu[u] - s * gv[u], gu[v] - s * gv[v]
         # a row's weight in r: off-diagonal entries count twice
-        new = self.r + 2 * total + du - s * dv
+        new = r + 2 * total + du - s * dv
         return (new - 2 * (w[u] + abs(du)) + gu[u],
                 new - 2 * (w[v] + abs(dv)) + gv[v])
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx), in O(N).
 
-        Updates transform row idx, row and column idx of gram, r and s.
+        Updates transform row idx and row and column idx of gram, and
+        drops the cached r.
         """
-        dots, self.r = self._combined(idx, k, src)
         g = self.gram
-        self.s += dots[idx] - g[idx][idx]
+        dots = _axpy(g[idx], k, g[src])
+        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
+        dots[idx] += k * dots[src]
         t = self.trans
         t[idx] = _axpy(t[idx], k, t[src])
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
+        self._r = None
         if self.log is not None:
             self.log.append(("replace", idx, k, src))
 
@@ -215,9 +251,11 @@ class BasisState:
     # -- checks used by tests and debug asserts --
 
     def consistent(self):
-        """Whether gram, r and s match a rebuild from trans · base."""
-        fresh = BasisState(self.rows)
-        return (fresh.gram, fresh.r, fresh.s) == (self.gram, self.r, self.s)
+        """Whether gram matches the metric tensor of trans · base, and the
+        cached r, when one is set, its rhombicity."""
+        if list(map(list, metric_tensor(self.rows))) != self.gram:
+            return False
+        return self._r is None or self._r == _rhombicity(self.gram)
 
 
 class Candidate:
@@ -225,26 +263,27 @@ class Candidate:
 
     adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
     which the hyperplanar pass holds.  A Candidate holds a copy of the
-    state's gram, r and s, with the rows where the state has them, pos
+    state's gram and r, with the rows where the state has them, pos
     (one row's position, which permute moves) and arow, the adjugate row
     at pos.  It takes replace and permute like BasisState, so a pass runs
     on it unchanged, and logs them instead of updating trans and adj.
-    Unimodular steps leave det(G) unchanged, so adj stays integral over
-    that one denominator: under replace(idx, k, src), with
-    T = I + k·E[idx][src], adj becomes adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose
-    row pos differs only in entry src, by -k times entry idx, as long as
-    src != pos.
+    Unlike the state it updates r at every replace: r is what the
+    screening scores.  Unimodular steps leave det(G) unchanged, so adj
+    stays integral over that one denominator: under replace(idx, k, src),
+    with T = I + k·E[idx][src], adj becomes adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹,
+    whose row pos differs only in entry src, by -k times entry idx, as
+    long as src != pos.
     """
 
-    __slots__ = ("gram", "r", "s", "pos", "arow", "log")
+    __slots__ = ("gram", "r", "pos", "arow", "log")
 
     _combined = BasisState._combined
+    s = BasisState.s
 
     def __init__(self, state, adj, pos):
         """A trial of state that carries the adjugate row of row pos."""
         self.gram = [r[:] for r in state.gram]
         self.r = state.r
-        self.s = state.s
         self.pos = pos
         self.arow = adj[pos][:]
         self.log = []
@@ -254,7 +293,6 @@ class Candidate:
         assert src != self.pos
         dots, self.r = self._combined(idx, k, src)
         g = self.gram
-        self.s += dots[idx] - g[idx][idx]
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
@@ -269,7 +307,7 @@ class Candidate:
         self.log.append(("permute", order))
 
     def replay(self, state, adj):
-        """Give state this gram, r and s, and apply the log to state.trans
+        """Give state this gram and r, and apply the log to state.trans
         and to adj in place (see _replay).
 
         state and adj must be the ones the candidate was made from,
@@ -278,4 +316,3 @@ class Candidate:
         _replay(self.log, adj, state.trans)
         state.gram[:] = self.gram
         state.r = self.r
-        state.s = self.s

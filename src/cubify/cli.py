@@ -453,6 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("reduce", "compare") and args.large_dim < 1:
+        parser.error("--large-dim must be positive")
     if args.command == "reduce":
         if args.max_cycles is not None and args.max_cycles < 1:
             parser.error("--max-cycles must be positive")

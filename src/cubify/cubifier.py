@@ -77,8 +77,11 @@ def classify(b, *, large_dim=LARGE_DIM) -> MatrixClass:
     Mostly-zero matrices (at least half the entries zero) with a dense
     high-value column are columnar, or heterogeneous when dense high-value
     rows join the column and the dimension is large.  Everything else,
-    including uniformly dense matrices, is random.
+    including uniformly dense matrices, is random.  large_dim must be a
+    positive integer.
     """
+    if not _is_int(large_dim) or large_dim < 1:
+        raise ValueError("large_dim must be a positive integer")
     rows = _as_rows(b)
     n = len(rows)
     zeros = sum(1 for row in rows for x in row if x == 0)
@@ -239,9 +242,9 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     transform = tuple(tuple(r) for r in state.trans)
     # exit self-check: the transform must be unimodular, and the output
     # (transform · input by construction) must have the tracked metric
-    # tensor, which R and S are read off.  A unimodular transform of the
-    # validated input gives a nonsingular output, so Basis need not take
-    # its determinant again
+    # tensor, which R and S are computed from.  A unimodular transform of
+    # the validated input gives a nonsingular output, so Basis need not
+    # take its determinant again
     if abs(det(transform)) != 1:
         raise AssertionError("transform is not unimodular")
     reduced = Basis._checked_elsewhere(state.rows)

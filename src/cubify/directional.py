@@ -23,8 +23,9 @@ between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
 (BasisState.pair_r), from the scalar products they share and from row
-weights sum |g_t| that the sweep computes once per unchanged state: at its
-start and after each accepted change.
+weights sum |g_t| and r that the sweep reads once per unchanged state: at
+its start and after each accepted change.  An accepted change hands its
+score to the state as the new r, so nothing rebuilds it.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ def _simplify(state, variant):
         # visit number i·n + j of the sweep's last accepted change
         last = -1
         g = state.gram
-        # row weights for pair_r, on the state as it stands
+        # row weights and r for pair_r, on the state as it stands
         w = [sum(map(abs, row)) for row in g]
+        r = state.r
+        assert r == sum(w)
         for i in range(n):
             gi = g[i]
             di = gi[i]
@@ -125,17 +128,18 @@ def _simplify(state, variant):
                 # the remainder v - s·u replaces row u or row v; in u's slot
                 # it is -s·(u - s·v), whose scalar products differ from
                 # those of u - s·v only in sign, so R is the same
-                r_u, r_v = state.pair_r(u, v, s, w)
-                if r_u < state.r:
-                    target = u
+                r_u, r_v = state.pair_r(u, v, s, w, r)
+                if r_u < r:
+                    target, r = u, r_u
                     state.replace(u, -s, v)
                     if s > 0:
                         state.negate(u)
-                elif r_v < state.r:
-                    target = v
+                elif r_v < r:
+                    target, r = v, r_v
                     state.replace(v, -s, u)
                 else:
                     continue
+                state.r = r
                 if variant is Variant.APPEND:
                     state.permute([t for t in range(n) if t != target] + [target])
                 else:
@@ -144,6 +148,7 @@ def _simplify(state, variant):
                 changed = True
                 # the change rebuilt rows and may have moved every row
                 w = [sum(map(abs, row)) for row in g]
+                assert r == sum(w)
                 gi = g[i]
                 di = gi[i]
 

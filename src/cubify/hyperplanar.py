@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._state import BasisState, Candidate, _axpy
+from ._state import BasisState, Candidate, _axpy, _rhombicity
 from .directional import Variant, _lagrange
 from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
 
@@ -95,7 +95,9 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     """Run one pass on state; returns the adjugate of its final gram.
 
     adj, when given, must be the adjugate of state.gram; the pass moves it
-    in place.  Without it the pass computes one.
+    in place.  Without it the pass computes one.  Each accepted screening
+    hands its scored r to the state with the replay, so the pass never
+    rebuilds r; it checks the r it ends on against gram once.
     """
     n = len(state.gram)
     if n < 2:
@@ -141,6 +143,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             i = 0
         else:
             i += 1
+    assert state.r == _rhombicity(state.gram)
     return adj
 
 

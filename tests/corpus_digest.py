@@ -1,6 +1,7 @@
 """One SHA-256 over every result the reduction gives on a fixed corpus.
 
-    python3 tests/corpus_digest.py [--src DIR] [--only NAME ...] [--list]
+    python3 tests/corpus_digest.py [--src DIR] [--only NAME ...]
+                                   [--expect HEX] [--list]
 
 A refactor or speed-up that claims bit-identical results runs this in the
 parent checkout and in its own and compares the two lines it prints.  The
@@ -19,7 +20,9 @@ rows and every trace record.
 --src imports cubify from DIR (a checkout's src/ directory) instead of the
 src/ next to this script, so one copy of the script serves both trees.
 --only restricts the run to the named inputs (see --list) and prints the
-digest of that subset.  A full run takes about two minutes on one core.
+digest of that subset.  --expect HEX compares the digest with HEX: on a
+match the script prints the digest and exits 0, on a mismatch it prints
+both and exits 1.  A full run takes about two minutes on one core.
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ def main(argv=None):
                    help="directory cubify is imported from")
     p.add_argument("--only", action="append", metavar="NAME",
                    help="hash only this input (repeatable)")
+    p.add_argument("--expect", metavar="HEX",
+                   help="exit 1 unless the digest is HEX")
     p.add_argument("--list", action="store_true", help="list the input names")
     args = p.parse_args(argv)
     if args.list:
@@ -125,7 +130,11 @@ def main(argv=None):
         p.error("unknown input %s" % ", ".join(unknown))
     sys.path.insert(0, str(args.src.resolve()))
     import cubify
-    print(digest(cubify, args.only and set(args.only)))
+    got = digest(cubify, args.only and set(args.only))
+    if args.expect is not None and got != args.expect.lower():
+        print("digest   %s\nexpected %s" % (got, args.expect))
+        return 1
+    print(got)
     return 0
 
 

@@ -1,11 +1,11 @@
 """The state's row operations and the pass's adjugate must stay exact.
 
 permute, negate and replace (and so the division steps of _lagrange)
-update a BasisState's gram, r and s in place; after any sequence of them
-the state must match a rebuild from its rows, and det(G) must not have
-moved.  pair_r, given the row weights sum |g_t|, must predict both
-replaces a simplification step chooses between, and a replace must undo
-exactly.
+update a BasisState's gram in place, and replace drops its cached r; after
+any sequence of them the state's gram, r and s must match a rebuild from
+its rows, and det(G) must not have moved.  pair_r, given the row weights
+sum |g_t|, must predict both replaces a simplification step chooses
+between, and a replace must undo exactly.
 
 The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
 A Candidate made from the state carries a single adjugate row through its
@@ -17,7 +17,7 @@ gram·adj == det(G)·I.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cubify import Variant, det
+from cubify import Variant, det, metric_tensor, norm_sum, rhombicity
 from cubify import hyperplanar
 from cubify._state import BasisState, Candidate, _axpy, _reordered
 from cubify.directional import _lagrange
@@ -123,10 +123,50 @@ def test_carried_adjugate_matches_a_fresh_one(rows, data):
         assert_exact(state, adj, g)
 
 
+def assert_r_and_s_rebuilt(state):
+    m = metric_tensor(state.rows)
+    assert (state.r, state.s) == (rhombicity(m), norm_sum(m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=bases(), data=st.data())
+def test_r_and_s_are_those_of_the_rows(rows, data):
+    # r is cached and dropped by replace, s is read off gram: whichever
+    # steps ran and whenever r was last read, both must be the rows'
+    n = len(rows)
+    state = BasisState(rows)
+    for _ in range(data.draw(st.integers(1, 10), label="steps")):
+        kind = data.draw(st.sampled_from(("replace", "negate", "permute",
+                                          "copy")), label="kind")
+        if kind == "replace" and n > 1:
+            idx, src = data.draw(st.permutations(range(n)), label="rows")[:2]
+            state.replace(idx, data.draw(st.integers(-3, 3), label="k"), src)
+        elif kind == "negate":
+            state.negate(data.draw(st.integers(0, n - 1), label="row"))
+        elif kind == "permute":
+            state.permute(data.draw(st.permutations(range(n)), label="order"))
+        elif kind == "copy":
+            state = state.copy()
+        if data.draw(st.booleans(), label="read"):
+            assert_r_and_s_rebuilt(state)
+    assert_r_and_s_rebuilt(state)
+    adj = _adjugate(state.gram)
+    order = data.draw(st.permutations(range(n)), label="order")
+    cand = Candidate(state, adj, order[-1])
+    cand.permute(order)
+    for _ in range(data.draw(st.integers(0, 4), label="candidate steps")):
+        step = _candidate_step(data.draw, cand)
+        if step is not None:
+            step(cand)
+    cand.replay(state, adj)
+    assert_r_and_s_rebuilt(state)
+
+
 def test_consistent_checks_gram_r_and_s():
+    # s is the trace of gram, read on demand, so the gram case covers it
     state = BasisState([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     assert state.consistent()
-    for bad in ("gram", "r", "s"):
+    for bad in ("gram", "r"):
         wrong = state.copy()
         if bad == "gram":
             wrong.gram[0][1] += 1

@@ -187,6 +187,23 @@ def test_reduce_rejects_bad_max_cycles(tmp_path, capsys):
     assert "--max-cycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reduce", "compare"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rejects_a_large_dim_below_one(tmp_path, capsys, command, value):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--large-dim", value])
+    assert exc.value.code == 2
+    assert "--large-dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "compare"])
+def test_accepts_large_dim_one(tmp_path, capsys, command):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    assert main([command, path, "--large-dim", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == command
+
+
 def test_reduce_parse_error_exit(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("1 2\n3 oops\n")
