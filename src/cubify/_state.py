@@ -2,14 +2,13 @@
 
 Holds the input rows once (base, shared by every copy and never mutated),
 the accumulated row transform trans and the metric tensor gram of the
-current rows.  Rhombicity r and norm sum s are values of gram: s is its
-trace, read on demand, and r is cached.  replace drops the cached r and
-the next read rebuilds it as sum |g|; code that already knows the new
-value (an accepted simplification's score, a replayed Candidate's r) sets
-it instead.  So no row step of the working state pays for an r that
-nothing reads, such as the steps of a division sweep.  The current rows
-are trans · base; no pass reads them, so they are formed on demand
-(rows, row(i)) only for outputs, trace records and checks.
+current rows.  Rhombicity r (sum |g|) and norm sum s (the trace) are read
+off gram on demand and stored nowhere, so no row step pays for an r that
+nothing reads, such as the steps of a division sweep.  A loop that scores
+its steps holds r as a local: it reads it once and takes each accepted
+step's score.  The current rows are trans · base; no pass reads them, so
+they are formed on demand (rows, row(i)) only for outputs, trace records
+and checks.
 
 Every step of a pass is an elementary unimodular row operation, and the
 state owns each one's update: replace(idx, k, src) adds k times one row to
@@ -25,20 +24,20 @@ hands on to the next.  In between, the state records its steps in log (a
 list once the driver sets one; None, the default, records nothing), and
 _replay applies the record to the carried adjugate before the next pass.
 A screening that reduces the other rows first runs them on a Candidate,
-an unpermuted copy of gram and r and of one adjugate row, which logs its
-steps the same way; an accepted shear is applied to a Candidate too.  A
-Candidate updates its r at every step, because r is the screening's
-score.  A Candidate's rows move once, when the screening is accepted, by
-one permute just before Candidate.replay; the state's trans and the
-adjugate follow only then.  A rejected screening reorders nothing.
+an unpermuted copy of gram and of one adjugate row, which logs its steps
+the same way; an accepted shear is applied to a Candidate too.  A
+Candidate starts from the r its pass hands it and updates it at every
+step, because r is the screening's score.  A Candidate's rows move once,
+when the screening is accepted, by one permute just before
+Candidate.replay; the state's trans and the adjugate follow only then.
+A rejected screening reorders nothing.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import add, itemgetter, sub
 
-from .exact import _matmul, metric_tensor, norm_sum
+from .exact import _matmul, _rhombicity, metric_tensor, norm_sum
 
 
 def _axpy(x, k, y):
@@ -107,35 +106,21 @@ def _replay(log, adj, trans=None):
             trans[:] = [trans[i] for i in pos]
 
 
-def _rhombicity(g):
-    """sum |g| over a Gram matrix, as exact.rhombicity without its symmetry
-    check, which would cost about three times the sum at n = 12."""
-    return sum(map(abs, chain.from_iterable(g)))
-
-
 class BasisState:
 
-    __slots__ = ("base", "trans", "gram", "_r", "log")
+    __slots__ = ("base", "trans", "gram", "log")
 
     def __init__(self, rows):
         self.base = tuple(tuple(r) for r in rows)
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.gram = [list(row) for row in metric_tensor(self.base)]
-        self._r = None
         self.log = None
 
     @property
     def r(self):
-        """The rhombicity of gram, rebuilt when a replace dropped it."""
-        r = self._r
-        if r is None:
-            r = self._r = _rhombicity(self.gram)
-        return r
-
-    @r.setter
-    def r(self, value):
-        self._r = value
+        """The rhombicity of gram."""
+        return _rhombicity(self.gram)
 
     @property
     def s(self):
@@ -156,32 +141,15 @@ class BasisState:
         c.base = self.base
         c.trans = [r[:] for r in self.trans]
         c.gram = [r[:] for r in self.gram]
-        c._r = self._r
         c.log = None
         return c
 
-    def _combined(self, idx, k, src):
-        """The scalar products of rows[idx] + k·rows[src] and the r it leaves.
-
-        The products with every current row are read off gram, the squared
-        norm at idx; r is the rhombicity once the sum replaces row idx.
-        """
-        g = self.gram
-        gi = g[idx]
-        dots = _axpy(gi, k, g[src])
-        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
-        dots[idx] += k * dots[src]
-        # a row's weight in r: off-diagonal entries count twice
-        r = (self.r - 2 * sum(map(abs, gi)) + gi[idx]
-             + 2 * sum(map(abs, dots)) - dots[idx])
-        return dots, r
-
-    def pair_r(self, u, v, s, w, r=None):
+    def pair_r(self, u, v, s, w, r):
         """The rhombicities replace(u, -s, v) and replace(v, -s, u) would
         leave, for s = ±1, in O(N).
 
         w[t] is sum(map(abs, gram[t])), row t's weights on this state, and
-        r, when given, its rhombicity (a sweep passes both, read once per
+        r = sum(w) its rhombicity (a sweep passes both, read once per
         unchanged state).  The new rows u - s·v and v - s·u = -s·(u - s·v)
         are one vector up to sign: both have the scalar products
         D_t = g_ut - s·g_vt up to sign and the norm D_u - s·D_v.  The two
@@ -189,8 +157,6 @@ class BasisState:
         entry of D the norm replaces.  sum |D| is one pass of C-level
         maps; no list is built.
         """
-        if r is None:
-            r = self.r
         g = self.gram
         gu, gv = g[u], g[v]
         total = sum(map(abs, map(sub if s > 0 else add, gu, gv)))
@@ -203,8 +169,7 @@ class BasisState:
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx), in O(N).
 
-        Updates transform row idx and row and column idx of gram, and
-        drops the cached r.
+        Updates transform row idx and row and column idx of gram.
         """
         g = self.gram
         dots = _axpy(g[idx], k, g[src])
@@ -215,7 +180,6 @@ class BasisState:
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
-        self._r = None
         if self.log is not None:
             self.log.append(("replace", idx, k, src))
 
@@ -251,11 +215,8 @@ class BasisState:
     # -- checks used by tests and debug asserts --
 
     def consistent(self):
-        """Whether gram matches the metric tensor of trans · base, and the
-        cached r, when one is set, its rhombicity."""
-        if list(map(list, metric_tensor(self.rows))) != self.gram:
-            return False
-        return self._r is None or self._r == _rhombicity(self.gram)
+        """Whether gram matches the metric tensor of trans · base."""
+        return list(map(list, metric_tensor(self.rows))) == self.gram
 
 
 class Candidate:
@@ -263,27 +224,26 @@ class Candidate:
 
     adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
     which the hyperplanar pass holds.  A Candidate holds a copy of the
-    state's gram and r, with the rows where the state has them, pos
-    (one row's position, which permute moves) and arow, the adjugate row
-    at pos.  It takes replace and permute like BasisState, so a pass runs
-    on it unchanged, and logs them instead of updating trans and adj.
-    Unlike the state it updates r at every replace: r is what the
-    screening scores.  Unimodular steps leave det(G) unchanged, so adj
-    stays integral over that one denominator: under replace(idx, k, src),
-    with T = I + k·E[idx][src], adj becomes adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹,
-    whose row pos differs only in entry src, by -k times entry idx, as
-    long as src != pos.
+    state's gram, with the rows where the state has them, r (the state's
+    rhombicity, which the pass hands it), pos (one row's position, which
+    permute moves) and arow, the adjugate row at pos.  It takes replace
+    and permute like BasisState, so a pass runs on it unchanged, and logs
+    them instead of updating trans and adj.  Unlike the state it keeps r
+    and updates it at every replace from the Gram row before and after
+    the step: r is what the screening scores.  Unimodular steps leave
+    det(G) unchanged, so adj stays integral over that one denominator:
+    under replace(idx, k, src), with T = I + k·E[idx][src], adj becomes
+    adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose row pos differs only in entry src,
+    by -k times entry idx, as long as src != pos.
     """
 
     __slots__ = ("gram", "r", "pos", "arow", "log")
 
-    _combined = BasisState._combined
-    s = BasisState.s
-
-    def __init__(self, state, adj, pos):
-        """A trial of state that carries the adjugate row of row pos."""
-        self.gram = [r[:] for r in state.gram]
-        self.r = state.r
+    def __init__(self, state, adj, pos, r):
+        """A trial of state, whose rhombicity is r, that carries the
+        adjugate row of row pos."""
+        self.gram = [row[:] for row in state.gram]
+        self.r = r
         self.pos = pos
         self.arow = adj[pos][:]
         self.log = []
@@ -291,8 +251,14 @@ class Candidate:
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx, src != pos), in O(N)."""
         assert src != self.pos
-        dots, self.r = self._combined(idx, k, src)
         g = self.gram
+        old = g[idx]
+        dots = _axpy(old, k, g[src])
+        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
+        dots[idx] += k * dots[src]
+        # a row's weight in r: off-diagonal entries count twice
+        self.r += (2 * (sum(map(abs, dots)) - sum(map(abs, old)))
+                   - dots[idx] + old[idx])
         g[idx] = dots
         for row, x in zip(g, dots):
             row[idx] = x
@@ -307,12 +273,11 @@ class Candidate:
         self.log.append(("permute", order))
 
     def replay(self, state, adj):
-        """Give state this gram and r, and apply the log to state.trans
-        and to adj in place (see _replay).
+        """Give state this gram, and apply the log to state.trans and to
+        adj in place (see _replay).
 
         state and adj must be the ones the candidate was made from,
         unchanged since; no Gram entry is computed a second time.
         """
         _replay(self.log, adj, state.trans)
         state.gram[:] = self.gram
-        state.r = self.r

@@ -213,11 +213,12 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
             settled = _norm_rows(state)
         timings["hyperplanar"] += time.perf_counter() - t0
 
-    r_history = [state.r]
+    r = state.r
+    r_history = [r]
     cycles = 0
     exhausted = False
     while True:
-        r_before = state.r
+        r_before = r
         keep = state.copy()
         state.sort_by_norm()
         if opts.method == 1:
@@ -228,10 +229,11 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
             directional_phase()
             hyperplanar_phase()
         cycles += 1
-        r_history.append(state.r)
+        r = state.r
+        r_history.append(r)
         if __debug__:
             assert state.consistent()
-        if state.r >= r_before:
+        if r >= r_before:
             # no strict progress: hand back the pre-cycle list
             state = keep
             break

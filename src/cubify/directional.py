@@ -23,9 +23,10 @@ between two accepted changes: on an unchanged state the visit (j, i) would
 pick the same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
 (BasisState.pair_r), from the scalar products they share and from row
-weights sum |g_t| and r that the sweep reads once per unchanged state: at
-its start and after each accepted change.  An accepted change hands its
-score to the state as the new r, so nothing rebuilds it.
+weights sum |g_t| that the sweep reads once per unchanged state: at its
+start and after each accepted change.  r is their sum; the sweep keeps it
+as a local, which an accepted change's score replaces, and the state
+stores none.
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ def _lagrange(state, m, variant, order=None):
     position map (p[t] is the Gram row at position t): a step replaces
     one row in place and then drops both rows and appends them (APPEND)
     or, when the remainder is no longer than the divisor, exchanges their
-    positions (INSERT).  Without order the sweep
-    covers rows[:m] and permutes state once at the end, if a row moved.
-    order, when given, lists the m rows to sweep, in sweep order; it is
-    swept in place as p and ends holding their order, and no row moves.
+    positions (INSERT).  A step's remainder is strictly shorter than the
+    row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
+    positive integer, falls with every step and the sweeps end; each step
+    asserts it, so a broken Gram update fails instead of looping.
+    Without order the sweep covers rows[:m] and permutes state once at
+    the end, if a row moved.  order, when given, lists the m rows to
+    sweep, in sweep order; it is swept in place as p and ends holding
+    their order, and no row moves.
     """
     p = list(range(m)) if order is None else order
     g = state.gram
@@ -75,7 +80,9 @@ def _lagrange(state, m, variant, order=None):
                 # the shorter row divides; ties go to the lower position
                 u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
                 k = _round_ratio(g[u][v], g[u][u])
+                dv = g[v][v]
                 state.replace(v, -k, u)
+                assert 0 < g[v][v] < dv
                 if variant is Variant.APPEND:
                     # drop both, append the remainder then the divisor
                     p.remove(u)
@@ -106,8 +113,7 @@ def _simplify(state, variant):
         g = state.gram
         # row weights and r for pair_r, on the state as it stands
         w = [sum(map(abs, row)) for row in g]
-        r = state.r
-        assert r == sum(w)
+        r = sum(w)
         for i in range(n):
             gi = g[i]
             di = gi[i]
@@ -139,7 +145,6 @@ def _simplify(state, variant):
                     state.replace(v, -s, u)
                 else:
                     continue
-                state.r = r
                 if variant is Variant.APPEND:
                     state.permute([t for t in range(n) if t != target] + [target])
                 else:

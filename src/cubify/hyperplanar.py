@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._state import BasisState, Candidate, _axpy, _rhombicity
+from ._state import BasisState, Candidate, _axpy
 from .directional import Variant, _lagrange
 from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
 
@@ -95,9 +95,10 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     """Run one pass on state; returns the adjugate of its final gram.
 
     adj, when given, must be the adjugate of state.gram; the pass moves it
-    in place.  Without it the pass computes one.  Each accepted screening
-    hands its scored r to the state with the replay, so the pass never
-    rebuilds r; it checks the r it ends on against gram once.
+    in place.  Without it the pass computes one.  The pass reads the
+    state's r once, at its start, and holds it as a local that each
+    accepted screening's score replaces; it checks the r it ends on
+    against gram once.
     """
     n = len(state.gram)
     if n < 2:
@@ -105,6 +106,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     m = n - 1
     if adj is None:
         adj = _adjugate(state.gram)
+    current = state.r
     i = 0
     while i < n:
         # the other rows in row order, the rows a shear of row i combines
@@ -113,20 +115,20 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             # reduce the others, norm-sorted, on an unpermuted copy; rest
             # ends in the order the sweeps left them in
             rest = sorted(others, key=lambda t: state.gram[t][t])
-            cand = Candidate(state, adj, i)
+            cand = Candidate(state, adj, i, current)
             _lagrange(cand, m, lagrange_variant, rest)
             gram, arow, r = cand.gram, cand.arow, cand.r
         else:
             # score the shear of row i where it stands; only an accepted
             # screening makes a candidate
             rest = others
-            gram, arow, r = state.gram, adj[i], state.r
+            gram, arow, r = state.gram, adj[i], current
         coeffs = _shear_coeffs(arow, i)
         r = _sheared_r(gram, r, i, coeffs, others)
-        if r < state.r:
+        if r < current:
             before = tuple(state.row(i)) if trace is not None else None
             if not reduce_sublattice:
-                cand = Candidate(state, adj, i)
+                cand = Candidate(state, adj, i, current)
             for c, t in zip(coeffs, others):
                 if c:
                     cand.replace(i, c, t)
@@ -134,6 +136,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             # the screening order: the other rows, then row i
             cand.permute(rest + [i])
             cand.replay(state, adj)
+            current = r
             if trace is not None:
                 # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]
                 dual = _matmul(_matmul([adj[m]], state.trans), state.base)
@@ -143,7 +146,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             i = 0
         else:
             i += 1
-    assert state.r == _rhombicity(state.gram)
+    assert current == state.r
     return adj
 
 

@@ -1,11 +1,11 @@
 """The state's row operations and the pass's adjugate must stay exact.
 
 permute, negate and replace (and so the division steps of _lagrange)
-update a BasisState's gram in place, and replace drops its cached r; after
+update a BasisState's gram in place, and r and s are read off gram; after
 any sequence of them the state's gram, r and s must match a rebuild from
 its rows, and det(G) must not have moved.  pair_r, given the row weights
-sum |g_t|, must predict both replaces a simplification step chooses
-between, and a replace must undo exactly.
+sum |g_t| and their sum r, must predict both replaces a simplification
+step chooses between, and a replace must undo exactly.
 
 The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
 A Candidate made from the state carries a single adjugate row through its
@@ -113,7 +113,7 @@ def test_carried_adjugate_matches_a_fresh_one(rows, data):
     assert g > 0
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
         order = data.draw(st.permutations(range(n)), label="order")
-        cand = Candidate(state, adj, order[-1])
+        cand = Candidate(state, adj, order[-1], state.r)
         cand.permute(order)
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
             step = _candidate_step(data.draw, cand)
@@ -131,8 +131,8 @@ def assert_r_and_s_rebuilt(state):
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(), data=st.data())
 def test_r_and_s_are_those_of_the_rows(rows, data):
-    # r is cached and dropped by replace, s is read off gram: whichever
-    # steps ran and whenever r was last read, both must be the rows'
+    # r and s are read off gram: whichever steps ran, copies and replays
+    # included, both must be the rows'
     n = len(rows)
     state = BasisState(rows)
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
@@ -152,7 +152,7 @@ def test_r_and_s_are_those_of_the_rows(rows, data):
     assert_r_and_s_rebuilt(state)
     adj = _adjugate(state.gram)
     order = data.draw(st.permutations(range(n)), label="order")
-    cand = Candidate(state, adj, order[-1])
+    cand = Candidate(state, adj, order[-1], state.r)
     cand.permute(order)
     for _ in range(data.draw(st.integers(0, 4), label="candidate steps")):
         step = _candidate_step(data.draw, cand)
@@ -163,16 +163,12 @@ def test_r_and_s_are_those_of_the_rows(rows, data):
 
 
 def test_consistent_checks_gram_r_and_s():
-    # s is the trace of gram, read on demand, so the gram case covers it
+    # r and s are read off gram, so the gram case covers them
     state = BasisState([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     assert state.consistent()
-    for bad in ("gram", "r"):
-        wrong = state.copy()
-        if bad == "gram":
-            wrong.gram[0][1] += 1
-        else:
-            setattr(wrong, bad, getattr(wrong, bad) + 1)
-        assert not wrong.consistent()
+    wrong = state.copy()
+    wrong.gram[0][1] += 1
+    assert not wrong.consistent()
 
 
 def _snapshot(state):
@@ -205,7 +201,7 @@ def test_pair_r_predicts_replace_and_replace_undoes(rows, data):
     k = data.draw(st.integers(-5, 5), label="k")
     before = _snapshot(state)
     w = [sum(map(abs, row)) for row in state.gram]
-    predicted = state.pair_r(u, v, s, w)
+    predicted = state.pair_r(u, v, s, w, sum(w))
     assert _snapshot(state) == before
     for (idx, src), r in zip(((u, v), (v, u)), predicted):
         state.replace(idx, -s, src)
@@ -268,8 +264,8 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_candidate_follows_the_state_it_was_made_from(rows, data):
     # a Candidate made with an order and a copy of its state permuted by
-    # it run the same steps; the candidate must match the copy's gram, r
-    # and s and carry the row at pos of the copy's adjugate, and replaying
+    # it run the same steps; the candidate must match the copy's gram and
+    # r and carry the row at pos of the copy's adjugate, and replaying
     # it must turn its state into the copy and its adjugate into the copy's
     n = len(rows)
     state = BasisState(rows)
@@ -277,10 +273,10 @@ def test_candidate_follows_the_state_it_was_made_from(rows, data):
     g = det(state.gram)
     ref = state.copy()
     order = data.draw(st.permutations(range(n)), label="order")
-    cand = Candidate(state, adj, order[-1])
+    cand = Candidate(state, adj, order[-1], state.r)
     cand.permute(order)
     ref.permute(order)
-    assert (cand.gram, cand.r, cand.s) == (ref.gram, ref.r, ref.s)
+    assert (cand.gram, cand.r) == (ref.gram, ref.r)
     assert cand.pos == n - 1
     assert cand.arow == _adjugate(ref.gram)[cand.pos]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
@@ -289,7 +285,7 @@ def test_candidate_follows_the_state_it_was_made_from(rows, data):
             continue
         step(ref)
         step(cand)
-        assert (cand.gram, cand.r, cand.s) == (ref.gram, ref.r, ref.s)
+        assert (cand.gram, cand.r) == (ref.gram, ref.r)
         assert cand.arow == _adjugate(ref.gram)[cand.pos]
     cand.replay(state, adj)
     assert (state.trans, state.gram, state.r, state.s) == (

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from cubify import (Variant, directional_reduction, lagrange_division,
-                    lattice_equal, metric_tensor, norm_sum, rhombicity,
-                    simplification)
-from cubify._state import BasisState
+from cubify import (GeneratorSpec, Variant, directional_reduction, generate,
+                    lagrange_division, lattice_equal, metric_tensor, norm_sum,
+                    rhombicity, simplification)
+from cubify._state import BasisState, _axpy
 from cubify.directional import _lagrange, _simplify
 
 from _helpers import random_basis, random_unimodular, shortest_norm_in_box
@@ -151,3 +151,42 @@ def test_sweep_state_stays_consistent():
 def test_singular_input_rejected():
     with pytest.raises(Exception):
         lagrange_division(((1, 2), (2, 4)))
+
+
+class _Unbounded(Exception):
+    """A sweep took more steps than its test allows."""
+
+
+def _mutant_replace(budget):
+    """BasisState.replace with the new norm formed as dots[idx] +
+    k·dots[idx]; raises _Unbounded on call number budget + 1."""
+    calls = 0
+
+    def replace(self, idx, k, src):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise _Unbounded
+        g = self.gram
+        dots = _axpy(g[idx], k, g[src])
+        dots[idx] += k * dots[idx]
+        self.trans[idx] = _axpy(self.trans[idx], k, self.trans[src])
+        g[idx] = dots
+        for row, x in zip(g, dots):
+            row[idx] = x
+
+    return replace
+
+
+@pytest.mark.parametrize("family, n, entries", [
+    ("full", 10, (0, 100)), ("columnar", 4, (0, 10 ** 30))])
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_broken_gram_update_fails_the_sweep(monkeypatch, family, n, entries,
+                                              seed, variant):
+    # each division step must shorten the row it replaces, so a wrong norm
+    # fails an assert instead of sweeping on without end
+    state = BasisState(generate(GeneratorSpec(family, n, entries, seed)).rows)
+    monkeypatch.setattr(BasisState, "replace", _mutant_replace(10_000))
+    with pytest.raises(AssertionError):
+        _lagrange(state, n, variant)

@@ -28,7 +28,7 @@ def shear(isolated, sub):
     state = BasisState(list(sub) + [isolated])
     adj = _adjugate(state.gram)
     m = len(sub)
-    cand = Candidate(state, adj, m)
+    cand = Candidate(state, adj, m, state.r)
     cand.permute(list(range(m + 1)))
     for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
         if c:

@@ -64,7 +64,7 @@ def test_kernel_matches_geometric_oracle(rows, data):
     if reduce_sublattice:
         # the pass's order: the rest norm-sorted, row i last
         rest.sort(key=lambda t: state.gram[t][t])
-    cand = Candidate(state, adj, i)
+    cand = Candidate(state, adj, i, state.r)
     cand.permute(rest + [i])
     if reduce_sublattice:
         _lagrange(cand, m, data.draw(st.sampled_from(Variant), label="variant"))
@@ -155,7 +155,7 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     before = [row[:] for row in state.gram]
     in_place = _sheared_r(state.gram, state.r, i, coeffs, rest)
     assert state.gram == before
-    cand = Candidate(state, _adjugate(state.gram), i)
+    cand = Candidate(state, _adjugate(state.gram), i, state.r)
     cand.permute(rest + [i])
     assert _sheared_r(cand.gram, cand.r, m, coeffs, range(m)) == in_place
     for c, t in zip(coeffs, range(m)):

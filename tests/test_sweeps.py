@@ -87,6 +87,13 @@ def plain_lagrange(state, m, variant):
                 changed = True
 
 
+def _placed_r(state, idx, k, src):
+    """The rhombicity replace(idx, k, src) leaves, read off a copy."""
+    trial = state.copy()
+    trial.replace(idx, k, src)
+    return trial.r
+
+
 def plain_simplify(state, variant):
     """Single-step combinations accepted only on strict rhombicity decrease."""
     n = len(state.gram)
@@ -104,12 +111,12 @@ def plain_simplify(state, variant):
                 # the remainder v - s·u replaces row u or row v; in u's slot
                 # it is -s·(u - s·v), whose scalar products differ from
                 # those of u - s·v only in sign, so R is the same
-                if state._combined(u, -s, v)[1] < state.r:
+                if _placed_r(state, u, -s, v) < state.r:
                     target = u
                     state.replace(u, -s, v)
                     if s > 0:
                         state.negate(u)
-                elif state._combined(v, -s, u)[1] < state.r:
+                elif _placed_r(state, v, -s, u) < state.r:
                     target = v
                     state.replace(v, -s, u)
                 else:
@@ -148,7 +155,7 @@ def long_hyperplanar(state, variant, reduce_sublattice):
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
-        cand = PlainCandidate(state, adj, i)
+        cand = PlainCandidate(state, adj, i, state.r)
         if reduce_sublattice:
             rest.sort(key=lambda t: state.gram[t][t])
             cand.permute(rest + [i])
@@ -231,7 +238,7 @@ def _full(state):
 
 
 def _trial(cand):
-    return cand.gram, cand.r, cand.s, cand.arow, cand.pos
+    return cand.gram, cand.r, cand.arow, cand.pos
 
 
 @settings(max_examples=120, deadline=None)
@@ -258,8 +265,8 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
                      label="rest")
     state = BasisState(rows)
     adj = _adjugate(state.gram)
-    new, plain = (LoggedCandidate(state, adj, pos),
-                  LoggedCandidate(state, adj, pos))
+    new, plain = (LoggedCandidate(state, adj, pos, state.r),
+                  LoggedCandidate(state, adj, pos, state.r))
     order = rest[:]
     _lagrange(new, n - 1, variant, order)
     new.permute(order + [pos])
@@ -288,8 +295,8 @@ def test_a_swept_order_once_permuted_is_the_plain_loops_candidate(
     m = data.draw(st.integers(1, n - 1), label="m")
     state = BasisState(rows)
     adj = _adjugate(state.gram)
-    new, plain = (PlainCandidate(state, adj, order[-1]),
-                  PlainCandidate(state, adj, order[-1]))
+    new, plain = (PlainCandidate(state, adj, order[-1], state.r),
+                  PlainCandidate(state, adj, order[-1], state.r))
     swept = order[:m]
     _lagrange(new, m, variant, swept)
     assert new.log == [step for step in new.log if step[0] == "replace"]
