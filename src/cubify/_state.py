@@ -19,15 +19,16 @@ sweep reads once per unchanged state.  Every row update x + k·y goes
 through _axpy, which maps add or sub at C speed for k = ±1.  No code
 outside this module updates trans or gram.
 
-The hyperplanar pass reads the integer adjugate of gram, which each pass
-hands on to the next.  In between, the state records its steps in log (a
-list once the driver sets one; None, the default, records nothing), and
-_replay applies the record to the carried adjugate before the next pass.
-A screening that reduces the other rows first runs them on a Candidate,
-an unpermuted copy of gram and of one adjugate row, which logs its steps
-the same way; an accepted shear is applied to a Candidate too.  A
-Candidate starts from the r its pass hands it and updates it at every
-step, because r is the screening's score.  A Candidate's rows move once,
+The hyperplanar pass reads the integer adjugate of gram from
+adjugate(), which the state keeps in adj from one pass to the next, so
+that one fraction-free solve serves a whole run.  Between calls the state
+records its steps in log (None until the first call, so the directional
+steps before the first pass record nothing), and the next call applies
+the record to adj with _replay.  A screening that reduces the other rows
+first runs them on a Candidate, an unpermuted copy of gram and of one
+adjugate row, which logs its steps the same way; an accepted shear is
+applied to a Candidate too.  A Candidate starts from the r its pass hands
+it and updates it at every step, because r is the screening's score.  A Candidate's rows move once,
 when the screening is accepted, by one permute just before
 Candidate.replay; the state's trans and the adjugate follow only then.
 A rejected screening reorders nothing.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from operator import add, itemgetter, sub
 
-from .exact import _matmul, _rhombicity, metric_tensor, norm_sum
+from .exact import _adjugate, _matmul, _rhombicity, metric_tensor, norm_sum
 
 
 def _axpy(x, k, y):
@@ -108,14 +109,30 @@ def _replay(log, adj, trans=None):
 
 class BasisState:
 
-    __slots__ = ("base", "trans", "gram", "log")
+    __slots__ = ("base", "trans", "gram", "adj", "log")
 
     def __init__(self, rows):
         self.base = tuple(tuple(r) for r in rows)
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.gram = [list(row) for row in metric_tensor(self.base)]
+        self.adj = None
         self.log = None
+
+    def adjugate(self):
+        """The integer adjugate det(G)·G⁻¹ of gram, for a pass to move in
+        place (see Candidate.replay).
+
+        The first call solves for it; each later one brings the stored
+        adjugate up to date with the steps logged since the last call.
+        Every call starts a new log.
+        """
+        if self.adj is None:
+            self.adj = _adjugate(self.gram)
+        else:
+            _replay(self.log, self.adj)
+        self.log = []
+        return self.adj
 
     @property
     def r(self):
@@ -141,7 +158,7 @@ class BasisState:
         c.base = self.base
         c.trans = [r[:] for r in self.trans]
         c.gram = [r[:] for r in self.gram]
-        c.log = None
+        c.adj = c.log = None
         return c
 
     def pair_r(self, u, v, s, w, r):

@@ -250,9 +250,8 @@ def report_from_document(doc) -> ReductionReport:
         max_cycles_exhausted=doc["max_cycles_exhausted"])
 
 
-def _emit(doc, as_json):
-    if as_json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc):
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _resolve_options(args, basis):
@@ -292,7 +291,7 @@ def cmd_reduce(args) -> int:
             raise MatrixParseError("cannot write %s: %s" % (args.out, exc)) \
                 from None
     if args.json:
-        _emit(doc, True)
+        _emit(doc)
     else:
         print("class: %s%s" % (report.matrix_class.value,
                                " (auto)" if report.auto else ""))
@@ -325,7 +324,7 @@ def cmd_compare(args) -> int:
                "input": _input_doc(basis, args.input),
                "classification": cub.report.matrix_class.value,
                "r_in": _jint(cub.r_in), "s_in": _jint(cub.s_in),
-               "cubify": docs["cubify"], "lll": docs["lll"]}, True)
+               "cubify": docs["cubify"], "lll": docs["lll"]})
     else:
         print("input:  R %d, S %d" % (cub.r_in, cub.s_in))
         for name in ALGORITHMS:
@@ -356,7 +355,7 @@ def cmd_bench(args) -> int:
                          "s_in": _jint(rec.s_in), "s_out": _jint(rec.s_out),
                          "seconds": rec.seconds}
                         for rec in result.records],
-        }, True)
+        })
     else:
         print("%s %dx%d, %d matrices, seeds %d..%d" % (
             spec.family, spec.dim, spec.dim, args.count,
@@ -389,7 +388,7 @@ def cmd_verify(args) -> int:
     problems = verify_problems(original, reduced, report)
     if args.json:
         _emit({"schema": SCHEMA, "command": "verify",
-               "ok": not problems, "problems": problems}, True)
+               "ok": not problems, "problems": problems})
     else:
         if problems:
             for p in problems:

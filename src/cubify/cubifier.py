@@ -1,9 +1,10 @@
 """Reduction driver: classify the input, pick options, cycle until stable.
 
-A cycle is either
+A cycle is
 
   method 1:  sort -> directional -> hyperplanar
-  method 2:  sort -> hyperplanar -> directional -> hyperplanar
+  method 2:  sort -> hyperplanar -> directional -> hyperplanar  (first cycle)
+             sort -> directional -> hyperplanar                 (later ones)
 
 run while the rhombicity strictly decreases; when a cycle brings no strict
 decrease the pre-cycle list is returned.  Near-identity matrices with one
@@ -11,31 +12,31 @@ heavy column respond best to method 1, matrices dense with large entries to
 method 2, and matrices mixing a heavy column with dense heavy rows get one
 extra hyperplanar pass (without sublattice reduction) up front.
 
-A hyperplanar phase is skipped when the state's transform rows, taken in
-norm order (ties by position), equal those the previous sublattice pass
-ended on (settled).  The skip is exact:
+A cycle's closing hyperplanar pass is skipped when the directional phase
+leaves the transform rows, taken in norm order (ties by position), as it
+found them; only method 1's first cycle, which no sublattice pass has
+preceded, always runs it.  The skip is exact:
 
 - a pass ends only after a full round in which every screening was
   rejected;
 - a screening of row x sweeps the other rows in their stable norm order
   and reads x's adjugate row and r, which does not depend on row order;
 - adj(P·G·Pᵀ) = P·adj(G)·Pᵀ for a permutation P, so a state whose rows in
-  norm order equal settled gives every row the candidate it got before,
-  and the same rejection: the pass would change nothing.
+  norm order equal those a pass ended on gives every row the candidate it
+  got before, and the same rejection: the pass would change nothing;
+- every cycle ends on a hyperplanar phase, which either ran or was
+  skipped because the state already sat where the last pass ended, and
+  the sort that opens the next cycle is stable, so it keeps the norm
+  order.  So from the first sublattice pass on, every directional phase
+  starts from the rows the last pass ended on.
 
-Comparing transform rows rather than Gram entries makes equality mean
-identical rows; it costs O(N²) per phase.  Method 2's first phase of a
-cycle is skipped whenever the previous cycle ended on a pass, and so is
-any phase after a directional phase that only reordered rows.  The
-pre-pass (no sublattice reduction) screens other candidates, so it
-neither reads nor sets settled.
-
-Each pass returns the adjugate of the Gram matrix it ended on, and the
-driver carries it to the next pass instead of solving again: from the end
-of the first pass on, the state logs its steps, and before the next pass
-runs the driver applies that log to the carried adjugate and clears it.
-So one fraction-free solve serves the whole run, and the directional
-steps before the first pass, when there is no adjugate yet, log nothing.
+For the same reason method 2's opening pass would change nothing after
+the first cycle, and runs only in it.  The pre-pass (no sublattice
+reduction) screens other candidates, so the first sublattice pass always
+runs.  Comparing transform rows rather than Gram entries makes equality
+mean identical rows; it costs O(N²) per cycle.  Every pass takes its
+adjugate from the state (BasisState.adjugate), so one fraction-free solve
+serves the whole run.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from ._state import BasisState, _replay
+from ._state import BasisState
 from .directional import Variant, _lagrange, _simplify
 from .exact import Basis, _as_rows, _matmul, det, metric_tensor, norm_sum, rhombicity
 from .hyperplanar import _hyperplanar
@@ -179,39 +180,10 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     r_in, s_in = state.r, state.s
     timings = {"pre_hyperplanar": 0.0, "directional": 0.0, "hyperplanar": 0.0}
 
-    carried = None
-
-    def run_pass(reduce_sublattice=True):
-        nonlocal carried
-        if carried is not None:
-            _replay(state.log, carried)
-        carried = _hyperplanar(state, opts.lagrange,
-                               reduce_sublattice=reduce_sublattice, adj=carried)
-        # log the steps that will move carried before the next pass
-        state.log = []
-
-    pre_applied = False
     if opts.pre_hyperplanar:
         t0 = time.perf_counter()
-        run_pass(reduce_sublattice=False)
+        _hyperplanar(state, opts.lagrange, reduce_sublattice=False)
         timings["pre_hyperplanar"] += time.perf_counter() - t0
-        pre_applied = True
-
-    def directional_phase():
-        t0 = time.perf_counter()
-        _lagrange(state, len(state.gram), opts.lagrange)
-        _simplify(state, opts.simplification)
-        timings["directional"] += time.perf_counter() - t0
-
-    settled = None
-
-    def hyperplanar_phase():
-        nonlocal settled
-        t0 = time.perf_counter()
-        if _norm_rows(state) != settled:
-            run_pass()
-            settled = _norm_rows(state)
-        timings["hyperplanar"] += time.perf_counter() - t0
 
     r = state.r
     r_history = [r]
@@ -221,13 +193,18 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
         r_before = r
         keep = state.copy()
         state.sort_by_norm()
-        if opts.method == 1:
-            directional_phase()
-            hyperplanar_phase()
-        else:
-            hyperplanar_phase()
-            directional_phase()
-            hyperplanar_phase()
+        t0 = time.perf_counter()
+        if opts.method == 2 and cycles == 0:
+            _hyperplanar(state, opts.lagrange)
+        before = _norm_rows(state)
+        t1 = time.perf_counter()
+        _lagrange(state, len(state.gram), opts.lagrange)
+        _simplify(state, opts.simplification)
+        t2 = time.perf_counter()
+        if (opts.method == 1 and cycles == 0) or _norm_rows(state) != before:
+            _hyperplanar(state, opts.lagrange)
+        timings["directional"] += t2 - t1
+        timings["hyperplanar"] += t1 - t0 + time.perf_counter() - t2
         cycles += 1
         r = state.r
         r_history.append(r)
@@ -259,7 +236,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
         r_in=r_in, r_out=rhombicity(gram), s_in=s_in, s_out=norm_sum(gram),
         cycles=cycles, matrix_class=matrix_class, options=opts, auto=auto,
         transform=transform, timings=timings, r_history=r_history,
-        pre_pass_applied=pre_applied, max_cycles_exhausted=exhausted)
+        pre_pass_applied=opts.pre_hyperplanar, max_cycles_exhausted=exhausted)
     return reduced, report
 
 

@@ -12,12 +12,11 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
 The pass holds D exactly as the integer adjugate adj(G) = det(G)·D.
 Unimodular row operations carry it along in O(N) per step because det(G)
 never changes; it stays symmetric, so a replace forms the moved row once
-and writes the matching column from it.  One fraction-free solve serves a
-whole reduction: a pass takes the adjugate the previous pass returned,
-brought up to date by the driver with the steps the state logged since
-(see _state._replay), and computes it afresh only when handed none.
-Within a pass only accepted screenings move it (see Candidate.replay).  A
-screening rounds adj_ij / adj_ii (adj_ii > 0) half to even, like
+and writes the matching column from it.  A pass takes it from
+BasisState.adjugate(), which solves once per state and brings it up to
+date with the steps logged since the last pass.  Within a pass only
+accepted screenings move it (see Candidate.replay).  A screening rounds
+adj_ij / adj_ii (adj_ii > 0) half to even, like
 nearest_int, to get the lattice point of x's layer nearest the foot in
 sublattice coordinates; x is replaced by it when the full-basis
 rhombicity strictly drops.  This is the package's one shear computation:
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 
 from ._state import BasisState, Candidate, _axpy
 from .directional import Variant, _lagrange
-from .exact import Basis, _adjugate, _matmul, _primitive, _round_ratio
+from .exact import Basis, _matmul, _primitive, _round_ratio
 
 
 def _shear_coeffs(arow, i):
@@ -91,21 +90,20 @@ class AcceptedShear:
 
 
 def _hyperplanar(state, lagrange_variant=Variant.INSERT,
-                 reduce_sublattice=True, trace=None, adj=None):
-    """Run one pass on state; returns the adjugate of its final gram.
+                 reduce_sublattice=True, trace=None):
+    """Run one pass on state.
 
-    adj, when given, must be the adjugate of state.gram; the pass moves it
-    in place.  Without it the pass computes one.  The pass reads the
-    state's r once, at its start, and holds it as a local that each
-    accepted screening's score replaces; it checks the r it ends on
-    against gram once.
+    The pass reads the adjugate of state.gram from state.adjugate() and
+    moves it in place, so the state's stored adjugate ends the pass as
+    that of its final gram.  It reads the state's r once, at its start,
+    and holds it as a local that each accepted screening's score
+    replaces; it checks the r it ends on against gram once.
     """
     n = len(state.gram)
     if n < 2:
-        return adj
+        return
     m = n - 1
-    if adj is None:
-        adj = _adjugate(state.gram)
+    adj = state.adjugate()
     current = state.r
     i = 0
     while i < n:
@@ -147,7 +145,6 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         else:
             i += 1
     assert current == state.r
-    return adj
 
 
 def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,

@@ -1,12 +1,12 @@
-"""The adjugate a hyperplanar pass returns must stay exact until the next pass.
+"""The adjugate a BasisState keeps must stay exact from one pass to the next.
 
-From the end of the first pass on, a BasisState logs its steps, and the
-driver applies the log to the carried adjugate before the next pass
-(_replay), so that one fraction-free solve serves a whole cubify run.
-After any run of replace, negate, permute, _lagrange and _simplify
-steps, the replayed adjugate must equal a fresh one; the composed replay
-must match the plain step-by-step loop below; every adjugate the driver
-hands to a pass must be exact; and a run must solve only once.
+From its first adjugate() call on, a BasisState logs its steps, and the
+next call applies the log to the stored adjugate (_replay), so that one
+fraction-free solve serves a whole cubify run.  After any run of replace,
+negate, permute, _lagrange and _simplify steps, the replayed adjugate must
+equal a fresh one; the composed replay must match the plain step-by-step
+loop below; every adjugate a pass reads, and the one it leaves, must be
+exact; and a run must solve only once.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from cubify import CubifyOptions, GeneratorSpec, Variant, cubifier, cubify, generate
-from cubify import hyperplanar
+from cubify import _state
 from cubify._state import BasisState, _replay, _reordered
 from cubify.directional import _lagrange, _simplify
 from cubify.exact import _adjugate
@@ -57,8 +57,14 @@ def stepwise_replay(log, adj, trans):
 
 def _logged_steps(draw, state):
     """Run drawn state steps with the log on; returns the log."""
-    n = len(state.gram)
     state.log = []
+    _steps(draw, state)
+    return state.log
+
+
+def _steps(draw, state):
+    """Run drawn replace, negate, permute, _lagrange and _simplify steps."""
+    n = len(state.gram)
     for _ in range(draw(st.integers(1, 8), label="steps")):
         kind = draw(st.sampled_from(("replace", "negate", "permute",
                                      "lagrange", "simplify")), label="kind")
@@ -77,7 +83,6 @@ def _logged_steps(draw, state):
             # where single steps cannot take long
             _lagrange(state, n, draw(st.sampled_from(Variant), label="variant"))
             _simplify(state, draw(st.sampled_from(Variant), label="variant"))
-    return state.log
 
 
 @settings(max_examples=100, deadline=None)
@@ -106,38 +111,71 @@ def test_composed_replay_matches_the_stepwise_loop(rows, data):
     assert composed == (adj, trans)
 
 
-def _checked_passes(handed):
-    """A stand-in for cubifier._hyperplanar that checks the adjugate it is
-    handed and the one it returns against fresh ones."""
-    inner = cubifier._hyperplanar
+@settings(max_examples=100, deadline=None)
+@given(rows=bases(st.integers(2, 8)), data=st.data())
+def test_a_state_solves_for_its_adjugate_once(rows, data):
+    solves = []
+    solve = _state._adjugate
 
-    def checked(state, *args, adj=None, **kwargs):
-        handed.append(adj)
-        if adj is not None:
-            assert adj == _adjugate(state.gram)
-        out = inner(state, *args, adj=adj, **kwargs)
+    def counting(gram):
+        solves.append(gram)
+        return solve(gram)
+
+    state = BasisState(rows)
+    with mock.patch.object(_state, "_adjugate", counting):
+        for _ in range(data.draw(st.integers(1, 4), label="calls")):
+            _steps(data.draw, state)
+            assert state.adjugate() == _adjugate(state.gram)
+            assert state.log == []
+        assert len(solves) == 1
+        copy = state.copy()
+        assert copy.adj is None and copy.log is None
+        _steps(data.draw, copy)
+        assert copy.adjugate() == _adjugate(copy.gram)
+        assert len(solves) == 2
+        # the copy's steps reach neither the state's adjugate nor its log
+        _steps(data.draw, state)
+        assert state.adjugate() == _adjugate(state.gram)
+    assert len(solves) == 2
+
+
+def _checked_passes(solved):
+    """Stand-ins for BasisState.adjugate and cubifier._hyperplanar that
+    record whether each adjugate() call solves and check the adjugate a
+    pass reads and the one it leaves against fresh ones."""
+    adjugate, run_pass = BasisState.adjugate, cubifier._hyperplanar
+
+    def checked_adjugate(state):
+        solved.append(state.adj is None)
+        adj = adjugate(state)
+        assert adj == _adjugate(state.gram)
+        return adj
+
+    def checked_pass(state, *args, **kwargs):
+        run_pass(state, *args, **kwargs)
         if len(state.gram) > 1:
-            assert out == _adjugate(state.gram)
-        return out
-    return checked
+            assert state.adj == _adjugate(state.gram)
+    return checked_adjugate, checked_pass
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=bases(), options=st.sampled_from(OPTION_SETS))
 def test_every_pass_is_handed_an_exact_adjugate(rows, options):
-    handed = []
-    with mock.patch.object(cubifier, "_hyperplanar", _checked_passes(handed)):
+    solved = []
+    checked_adjugate, checked_pass = _checked_passes(solved)
+    with mock.patch.object(BasisState, "adjugate", checked_adjugate), \
+            mock.patch.object(cubifier, "_hyperplanar", checked_pass):
         cubify(rows, options)
     if len(rows) > 1:
         # only the first pass solves; every later one gets the carry
-        assert handed[0] is None
-        assert None not in handed[1:]
+        assert solved[0]
+        assert not any(solved[1:])
 
 
 def test_a_full_draw_solves_once_per_run():
     b = generate(GeneratorSpec("full", 12, (0, 100), seed=1_000_000))
     solves, passes = [], []
-    solve, run_pass = hyperplanar._adjugate, cubifier._hyperplanar
+    solve, run_pass = _state._adjugate, cubifier._hyperplanar
 
     def counting_solve(gram):
         solves.append(gram)
@@ -147,7 +185,7 @@ def test_a_full_draw_solves_once_per_run():
         passes.append(args)
         return run_pass(*args, **kwargs)
 
-    with mock.patch.object(hyperplanar, "_adjugate", counting_solve), \
+    with mock.patch.object(_state, "_adjugate", counting_solve), \
             mock.patch.object(cubifier, "_hyperplanar", counting_pass):
         cubify(b)
     assert len(passes) >= 2

@@ -343,9 +343,9 @@ def test_simplify_takes_the_plain_loops_steps(rows, lagrange, variant):
 def test_hyperplanar_ends_where_the_long_screening_loop_ends(
         rows, variant, reduce_sublattice):
     new, long = BasisState(rows), BasisState(rows)
-    adj = _hyperplanar(new, variant, reduce_sublattice=reduce_sublattice)
+    _hyperplanar(new, variant, reduce_sublattice=reduce_sublattice)
     long_adj = long_hyperplanar(long, variant, reduce_sublattice)
-    assert (new.trans, new.gram, new.r, new.s, adj) == (
+    assert (new.trans, new.gram, new.r, new.s, new.adj) == (
         long.trans, long.gram, long.r, long.s, long_adj)
 
 
@@ -457,11 +457,11 @@ def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
     # rejected and reorder nothing; an accepted one reorders its Gram
     # copy once, and replaying it reorders the adjugate at most once
     state = BasisState(generate(GeneratorSpec("full", 12, (0, 100), seed=1)))
-    adj = _adjugate(state.gram)
+    adj = state.adjugate()
     screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
     reorders = _counted(monkeypatch, _state, "_reordered")
     accepted = []
-    _hyperplanar(state, variant, trace=accepted, adj=adj)
+    _hyperplanar(state, variant, trace=accepted)
     on_adj = [args for args in reorders if args[0] is adj]
     assert len(reorders) - len(on_adj) == len(accepted) > 0
     assert len(on_adj) <= len(accepted)

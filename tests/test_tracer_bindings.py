@@ -12,7 +12,7 @@ import random
 from pathlib import Path
 from unittest import mock
 
-from cubify import CubifyOptions, GeneratorSpec, cubify, generate, hyperplanar
+from cubify import CubifyOptions, GeneratorSpec, _state, cubify, generate
 
 from _helpers import random_basis
 
@@ -58,18 +58,18 @@ def test_a_traced_run_counts_the_screenings_and_times_the_sublattice():
 
 
 def test_a_traced_run_still_solves_once():
-    # the wrapper around cubifier._hyperplanar must hand each pass's
-    # adjugate back to the driver, which carries it to the next pass
+    # the wrapper around cubifier._hyperplanar must leave the state's
+    # adjugate in place for the next pass
     tracer = _load_tracer()
     rows = generate(GeneratorSpec("full", 12, (0, 100), seed=1_000_000))
     solves = []
-    solve = hyperplanar._adjugate
+    solve = _state._adjugate
 
     def counting(gram):
         solves.append(gram)
         return solve(gram)
 
-    with mock.patch.object(hyperplanar, "_adjugate", counting):
+    with mock.patch.object(_state, "_adjugate", counting):
         with tracer.Tracer() as t:
             cubify(rows)
     passes = [span for span in t.spans if span[0] == "hyperplanar"]
