@@ -24,14 +24,13 @@ adjugate(), which the state keeps in adj from one pass to the next, so
 that one fraction-free solve serves a whole run.  Between calls the state
 records its steps in log (None until the first call, so the directional
 steps before the first pass record nothing), and the next call applies
-the record to adj with _replay.  A screening that reduces the other rows
-first runs them on a Candidate, an unpermuted copy of gram and of one
-adjugate row, which logs its steps the same way; an accepted shear is
-applied to a Candidate too.  A Candidate starts from the r its pass hands
-it and updates it at every step, because r is the screening's score.  A Candidate's rows move once,
-when the screening is accepted, by one permute just before
-Candidate.replay; the state's trans and the adjugate follow only then.
-A rejected screening reorders nothing.
+the record to adj with _replay.  A screening sweeps the other rows in
+norm_order() on a Candidate, which reads its row of adj and logs its
+steps; only an accepted screening moves the state, by
+Candidate.replay(state, order).
+
+gram and adj are symmetric, and a step moves each as m ← T·m·Tᵀ for an
+elementary T, in _add_row (replace) or _negate_row (negate).
 """
 
 from __future__ import annotations
@@ -64,16 +63,37 @@ def _reordered(m, order):
     return [list(pick(row)) for row in pick(m)]
 
 
+def _add_row(m, idx, k, src):
+    """m ← T·m·Tᵀ for T = I + k·E[idx][src] (src != idx), in place, in O(N).
+
+    Forms the new row idx of the symmetric m once, writes column idx from
+    it with one store per row, and returns it.
+    """
+    new = _axpy(m[idx], k, m[src])
+    # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
+    new[idx] += k * new[src]
+    m[idx] = new
+    for row, x in zip(m, new):
+        row[idx] = x
+    return new
+
+
+def _negate_row(m, idx):
+    """m ← T·m·Tᵀ for T = I - 2·E[idx][idx], in place: row and column idx
+    flip sign, the diagonal entry twice."""
+    m[idx] = [-x for x in m[idx]]
+    for row in m:
+        row[idx] = -row[idx]
+
+
 def _replay(log, adj, trans=None):
     """Apply logged steps to an adjugate, and to trans if given, in place.
 
     adj is the integer adjugate det(G)·G⁻¹ of the metric tensor the log
     starts from.  Unimodular steps leave det(G) unchanged, and a step with
-    matrix T moves adj to adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹: replace(idx, k, src)
-    moves row src by -k times row idx, then column src by -k times column
-    idx, and negate flips row and column idx.  adj stays symmetric, so the
-    moved column src is the moved row src with its diagonal entry moved
-    once more, and is written from it with one store per row.  permute
+    matrix T moves adj to adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹.  For replace(idx, k,
+    src), T = I + k·E[idx][src] and T⁻ᵀ = I - k·E[src][idx], which is
+    _add_row(adj, src, -k, idx); a negate is its own inverse.  permute
     only composes a position map, pos[t] being the list row now at
     position t; adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered
     once, at the end.
@@ -85,18 +105,12 @@ def _replay(log, adj, trans=None):
         if op == "replace":
             _, idx, k, src = step
             a, b = pos[idx], pos[src]
-            new = _axpy(adj[b], -k, adj[a])
-            new[b] -= k * new[a]
-            adj[b] = new
-            for row, x in zip(adj, new):
-                row[b] = x
+            _add_row(adj, b, -k, a)
             if trans is not None:
                 trans[a] = _axpy(trans[a], k, trans[b])
         elif op == "negate":
             a = pos[step[1]]
-            adj[a] = [-x for x in adj[a]]
-            for row in adj:
-                row[a] = -row[a]
+            _negate_row(adj, a)
             if trans is not None:
                 trans[a] = [-x for x in trans[a]]
         else:
@@ -116,8 +130,7 @@ class BasisState:
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         self.gram = [list(row) for row in metric_tensor(self.base)]
-        self.adj = None
-        self.log = None
+        self.adj = self.log = None
 
     def adjugate(self):
         """The integer adjugate det(G)·G⁻¹ of gram, for a pass to move in
@@ -188,26 +201,16 @@ class BasisState:
 
         Updates transform row idx and row and column idx of gram.
         """
-        g = self.gram
-        dots = _axpy(g[idx], k, g[src])
-        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
-        dots[idx] += k * dots[src]
+        _add_row(self.gram, idx, k, src)
         t = self.trans
         t[idx] = _axpy(t[idx], k, t[src])
-        g[idx] = dots
-        for row, x in zip(g, dots):
-            row[idx] = x
         if self.log is not None:
             self.log.append(("replace", idx, k, src))
 
     def negate(self, idx):
         """rows[idx] = -rows[idx], in O(N); r and s are unchanged."""
         self.trans[idx] = [-x for x in self.trans[idx]]
-        g = self.gram
-        # the diagonal entry flips twice
-        g[idx] = [-x for x in g[idx]]
-        for row in g:
-            row[idx] = -row[idx]
+        _negate_row(self.gram, idx)
         if self.log is not None:
             self.log.append(("negate", idx))
 
@@ -239,62 +242,50 @@ class BasisState:
 class Candidate:
     """A trial run of a state's steps that carries one adjugate row.
 
-    adj is the integer adjugate det(G)·G⁻¹ of the state's metric tensor,
-    which the hyperplanar pass holds.  A Candidate holds a copy of the
-    state's gram, with the rows where the state has them, r (the state's
-    rhombicity, which the pass hands it), pos (one row's position, which
-    permute moves) and arow, the adjugate row at pos.  It takes replace
-    and permute like BasisState, so a pass runs on it unchanged, and logs
-    them instead of updating trans and adj.  Unlike the state it keeps r
-    and updates it at every replace from the Gram row before and after
-    the step: r is what the screening scores.  Unimodular steps leave
-    det(G) unchanged, so adj stays integral over that one denominator:
-    under replace(idx, k, src), with T = I + k·E[idx][src], adj becomes
-    adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹, whose row pos differs only in entry src,
-    by -k times entry idx, as long as src != pos.
+    A Candidate holds a copy of the state's gram, with the rows where the
+    state has them, r (the state's rhombicity, which the pass hands it),
+    pos (the row it carries) and arow, row pos of the state's adjugate
+    (state.adj, current while state.log is empty).  It takes replace like
+    BasisState, so a division sweep runs on it unchanged, and logs it
+    instead of updating trans and adj.  Unlike the state it keeps r and
+    updates it at every replace from the Gram row before and after the
+    step: r is what the screening scores.  A replace with src != pos
+    moves arow only in entry src, by -k times entry idx (see _replay).
+    Only replay reorders a Candidate.
     """
 
     __slots__ = ("gram", "r", "pos", "arow", "log")
 
-    def __init__(self, state, adj, pos, r):
+    def __init__(self, state, pos, r):
         """A trial of state, whose rhombicity is r, that carries the
         adjugate row of row pos."""
+        assert state.log == []
         self.gram = [row[:] for row in state.gram]
         self.r = r
         self.pos = pos
-        self.arow = adj[pos][:]
+        self.arow = state.adj[pos][:]
         self.log = []
 
     def replace(self, idx, k, src):
         """rows[idx] += k·rows[src] (src != idx, src != pos), in O(N)."""
         assert src != self.pos
-        g = self.gram
-        old = g[idx]
-        dots = _axpy(old, k, g[src])
-        # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
-        dots[idx] += k * dots[src]
+        old = self.gram[idx]
+        new = _add_row(self.gram, idx, k, src)
         # a row's weight in r: off-diagonal entries count twice
-        self.r += (2 * (sum(map(abs, dots)) - sum(map(abs, old)))
-                   - dots[idx] + old[idx])
-        g[idx] = dots
-        for row, x in zip(g, dots):
-            row[idx] = x
+        self.r += (2 * (sum(map(abs, new)) - sum(map(abs, old)))
+                   - new[idx] + old[idx])
         a = self.arow
         a[src] -= k * a[idx]
         self.log.append(("replace", idx, k, src))
 
-    def permute(self, order):
-        self.gram = _reordered(self.gram, order)
-        self.arow = [self.arow[j] for j in order]
-        self.pos = order.index(self.pos)
-        self.log.append(("permute", order))
+    def replay(self, state, order):
+        """Move state by this trial's steps, then by permute(order).
 
-    def replay(self, state, adj):
-        """Give state this gram, and apply the log to state.trans and to
-        adj in place (see _replay).
-
-        state and adj must be the ones the candidate was made from,
-        unchanged since; no Gram entry is computed a second time.
+        state must be the one the candidate was made from, unchanged
+        since.  It takes this gram reordered, and _replay applies the log
+        to state.trans and state.adj in place; no Gram entry is computed
+        a second time.
         """
-        _replay(self.log, adj, state.trans)
-        state.gram[:] = self.gram
+        self.log.append(("permute", order))
+        _replay(self.log, state.adj, state.trans)
+        state.gram[:] = _reordered(self.gram, order)

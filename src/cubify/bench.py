@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .cubifier import LARGE_DIM, cubify, transform_problems
+from .cubifier import LARGE_DIM, _is_int, cubify, transform_problems
 from .exact import Basis, SingularBasisError, metric_tensor, norm_sum, \
     rhombicity
 from .lll import _lll
@@ -43,11 +43,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r" % (self.family,))
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+        if not _is_int(self.dim) or self.dim < 2:
+            raise ValueError("dim must be an integer of at least 2")
         lo, hi = self.entry_range
-        if lo >= hi:
-            raise ValueError("empty entry range")
+        if not (_is_int(lo) and _is_int(hi)) or lo >= hi:
+            raise ValueError("entry range must be two increasing integers")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
 
 
 def generate(spec: GeneratorSpec) -> Basis:
@@ -168,8 +170,8 @@ def run_battery(spec: GeneratorSpec, count: int,
     the battery naming the offending seed.  Records keep the input, output
     and report only with keep_outputs.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not _is_int(count) or count < 1:
+        raise ValueError("count must be a positive integer")
     result = BatteryResult(spec=spec, count=count, algorithms=tuple(algorithms))
     for seed in range(spec.seed, spec.seed + count):
         basis = generate(replace(spec, seed=seed))

@@ -19,8 +19,9 @@ preceded, always runs it.  The skip is exact:
 
 - a pass ends only after a full round in which every screening was
   rejected;
-- a screening of row x sweeps the other rows in their stable norm order
-  and reads x's adjugate row and r, which does not depend on row order;
+- a screening of row x sweeps the other rows in BasisState.norm_order(),
+  the stable order sort_by_norm sorts by, and reads x's adjugate row and
+  r, which does not depend on row order;
 - adj(P·G·Pᵀ) = P·adj(G)·Pᵀ for a permutation P, so a state whose rows in
   norm order equal those a pass ended on gives every row the candidate it
   got before, and the same rejection: the pass would change nothing;
@@ -198,7 +199,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
             _hyperplanar(state, opts.lagrange)
         before = _norm_rows(state)
         t1 = time.perf_counter()
-        _lagrange(state, len(state.gram), opts.lagrange)
+        _lagrange(state, opts.lagrange)
         _simplify(state, opts.simplification)
         t2 = time.perf_counter()
         if (opts.method == 1 and cycles == 0) or _norm_rows(state) != before:

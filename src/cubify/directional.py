@@ -42,8 +42,8 @@ class Variant(str, Enum):
     INSERT = "insert"
 
 
-def _lagrange(state, m, variant, order=None):
-    """Division sweeps over rows[:m] until every rounded quotient is zero.
+def _lagrange(state, variant, order=None):
+    """Division sweeps until every rounded quotient is zero.
 
     The sweeps leave gram where it is and move rows only in p, the
     position map (p[t] is the Gram row at position t): a step replaces
@@ -53,13 +53,14 @@ def _lagrange(state, m, variant, order=None):
     row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
     positive integer, falls with every step and the sweeps end; each step
     asserts it, so a broken Gram update fails instead of looping.
-    Without order the sweep covers rows[:m] and permutes state once at
-    the end, if a row moved.  order, when given, lists the m rows to
-    sweep, in sweep order; it is swept in place as p and ends holding
-    their order, and no row moves.
+    Without order the sweeps cover every row and permute state once at
+    the end, if a row moved.  order, when given, lists the rows to sweep,
+    in sweep order (a screening passes the others in norm order); it is
+    swept in place as p and ends holding their order, and no row moves.
     """
-    p = list(range(m)) if order is None else order
     g = state.gram
+    p = list(range(len(g))) if order is None else order
+    m = len(p)
     changed = True
     while changed:
         changed = False
@@ -99,7 +100,7 @@ def _lagrange(state, m, variant, order=None):
                 ga = g[a]
                 da = ga[a]
     if order is None and p != list(range(m)):
-        state.permute(p + list(range(m, len(g))))
+        state.permute(p)
 
 
 def _simplify(state, variant):
@@ -166,7 +167,7 @@ def lagrange_division(b, variant=Variant.INSERT) -> Basis:
     """
     basis = Basis(b)
     state = BasisState(basis.rows)
-    _lagrange(state, len(state.gram), Variant(variant))
+    _lagrange(state, Variant(variant))
     return Basis(state.rows)
 
 
@@ -191,6 +192,6 @@ def directional_reduction(b, lagrange_variant=Variant.INSERT,
     """Division sweeps followed by simplification sweeps."""
     basis = Basis(b)
     state = BasisState(basis.rows)
-    _lagrange(state, len(state.gram), Variant(lagrange_variant))
+    _lagrange(state, Variant(lagrange_variant))
     _simplify(state, Variant(simplification_variant))
     return Basis(state.rows)

@@ -315,7 +315,8 @@ def solve_in_sublattice(cols, target):
 
     cols is an N x k integer matrix (k independent columns), target a length-N
     vector of ints or Fractions that must lie in the span.  Solves the normal
-    equations (colsT cols) x = colsT target exactly and returns k Fractions.
+    equations (colsT cols) x = colsT target exactly and returns k Fractions;
+    raises ValueError when cols · x != target, i.e. target is off the span.
     """
     rows = [tuple(_int(x) for x in r) for r in cols]
     n = len(rows)
@@ -339,6 +340,9 @@ def solve_in_sublattice(cols, target):
         d, nums = _solve_fraction_free(gram, rhs)
     except _Singular:
         raise DegenerateSublatticeError("columns are linearly dependent") from None
+    if any(sum(map(operator.mul, row, (x[0] for x in nums))) != d * ti
+           for row, ti in zip(rows, t_int)):
+        raise ValueError("target is not in the column span")
     return tuple(Fraction(x[0], d * lden) for x in nums)
 
 

@@ -11,30 +11,28 @@ w = sum_j D_ij·b_j is orthogonal to every row but x and has w·x = 1, so
 
 The pass holds D exactly as the integer adjugate adj(G) = det(G)·D.
 Unimodular row operations carry it along in O(N) per step because det(G)
-never changes; it stays symmetric, so a replace forms the moved row once
-and writes the matching column from it.  A pass takes it from
+never changes (see _state._replay).  A pass takes it from
 BasisState.adjugate(), which solves once per state and brings it up to
 date with the steps logged since the last pass.  Within a pass only
 accepted screenings move it (see Candidate.replay).  A screening rounds
-adj_ij / adj_ii (adj_ii > 0) half to even, like
-nearest_int, to get the lattice point of x's layer nearest the foot in
-sublattice coordinates; x is replaced by it when the full-basis
-rhombicity strictly drops.  This is the package's one shear computation:
-a screening builds no normal vector, rational gap or linear solve.  Trace records of accepted shears
-take the hyperplane's primitive normal from the same dual row.
+adj_ij / adj_ii (adj_ii > 0) half to even, like nearest_int, to get the
+lattice point of x's layer nearest the foot in sublattice coordinates; x
+is replaced by it when the full-basis rhombicity strictly drops.  This is
+the package's one shear computation: a screening builds no normal vector,
+rational gap or linear solve.  Trace records of accepted shears take the
+hyperplane's primitive normal from the same dual row.
 
 A screening scores its shear before applying it (_sheared_r): the sheared
 row's scalar products and norm, and so the rhombicity it would leave, come
 from the Gram rows it combines, and nothing is written.  With sublattice
-reduction the other rows are reduced on a Candidate (see _state.py), an
-unpermuted copy of the Gram matrix and x's adjugate row, whose division
-sweeps only track the order they leave the rows in; without it a
-screening reads the state's Gram matrix and the adjugate in place and
-copies nothing.  Either way the shear is scored with the rows where they
-stand.  Only an accepted screening applies its shear, to a Candidate,
-moves the Candidate's rows into screening order (the other rows, then x)
-with one permute, and replays its steps into the state's transform and
-the adjugate.
+reduction the other rows are swept in BasisState.norm_order() on a
+Candidate (see _state.py), an unpermuted copy of the Gram matrix that
+carries x's row of the state's adjugate, and the sweeps only track the
+order they leave the rows in; without it a screening reads the state's
+Gram matrix and adjugate in place and copies nothing.  Either way the
+shear is scored with the rows where they stand.  Only an accepted
+screening applies its shear, to a Candidate, whose replay moves the
+state into screening order (the other rows, then x).
 """
 
 from __future__ import annotations
@@ -95,26 +93,27 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
 
     The pass reads the adjugate of state.gram from state.adjugate() and
     moves it in place, so the state's stored adjugate ends the pass as
-    that of its final gram.  It reads the state's r once, at its start,
-    and holds it as a local that each accepted screening's score
-    replaces; it checks the r it ends on against gram once.
+    that of its final gram.  It reads the state's r and norm_order() at
+    its start and after each accepted screening (a rejected one leaves
+    gram as it was); r is a local that each accepted screening's score
+    replaces, checked against gram once, at the end.
     """
     n = len(state.gram)
     if n < 2:
         return
-    m = n - 1
     adj = state.adjugate()
     current = state.r
+    order = state.norm_order()
     i = 0
     while i < n:
         # the other rows in row order, the rows a shear of row i combines
         others = [t for t in range(n) if t != i]
         if reduce_sublattice:
-            # reduce the others, norm-sorted, on an unpermuted copy; rest
+            # sweep the others in norm order on an unpermuted copy; rest
             # ends in the order the sweeps left them in
-            rest = sorted(others, key=lambda t: state.gram[t][t])
-            cand = Candidate(state, adj, i, current)
-            _lagrange(cand, m, lagrange_variant, rest)
+            rest = [t for t in order if t != i]
+            cand = Candidate(state, i, current)
+            _lagrange(cand, lagrange_variant, rest)
             gram, arow, r = cand.gram, cand.arow, cand.r
         else:
             # score the shear of row i where it stands; only an accepted
@@ -126,21 +125,21 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         if r < current:
             before = tuple(state.row(i)) if trace is not None else None
             if not reduce_sublattice:
-                cand = Candidate(state, adj, i, current)
+                cand = Candidate(state, i, current)
             for c, t in zip(coeffs, others):
                 if c:
                     cand.replace(i, c, t)
             assert cand.r == r
             # the screening order: the other rows, then row i
-            cand.permute(rest + [i])
-            cand.replay(state, adj)
+            cand.replay(state, rest + [i])
             current = r
+            order = state.norm_order()
             if trace is not None:
-                # the dual row sum_j adj_mj·b_j is orthogonal to rows[:m]
-                dual = _matmul(_matmul([adj[m]], state.trans), state.base)
+                # the last dual row is orthogonal to every row but the last
+                dual = _matmul(_matmul([adj[-1]], state.trans), state.base)
                 trace.append(AcceptedShear(normal=_primitive(dual[0]),
                                            before=before,
-                                           after=tuple(state.row(m))))
+                                           after=tuple(state.row(-1))))
             i = 0
         else:
             i += 1

@@ -8,10 +8,10 @@ sum |g_t| and their sum r, must predict both replaces a simplification
 step chooses between, and a replace must undo exactly.
 
 The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
-A Candidate made from the state carries a single adjugate row through its
-steps and must follow the state step for step; replaying it must move the
-state and adj exactly, so that adj equals a fresh adjugate and
-gram·adj == det(G)·I.
+A Candidate made from the state carries a single row of the state's
+adjugate through its steps and must follow the state step for step;
+replaying it with an order must move the state and its adjugate exactly,
+so that the adjugate equals a fresh one and gram·adj == det(G)·I.
 """
 
 import pytest
@@ -52,14 +52,16 @@ def _random_step(draw, state):
         idx, src = draw(st.permutations(range(n)))[:2]
         state.replace(idx, draw(st.integers(-3, 3)), src)
     elif kind == "lagrange":
-        _lagrange(state, draw(st.integers(1, n)), draw(st.sampled_from(Variant)))
+        # every row, or some rows in a drawn sweep order
+        order = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+        _lagrange(state, draw(st.sampled_from(Variant)),
+                  order if draw(st.booleans()) else None)
 
 
 def _candidate_step(draw, cand):
     """One step a screening may take on cand, drawn; None if it takes none."""
     n = len(cand.gram)
-    kind = draw(st.sampled_from(("replace", "permute", "lagrange")),
-                label="kind")
+    kind = draw(st.sampled_from(("replace", "lagrange")), label="kind")
     if kind == "replace":
         if n < 2:
             return None
@@ -70,14 +72,12 @@ def _candidate_step(draw, cand):
                    label="idx")
         k = draw(st.integers(-3, 3), label="k")
         return lambda s: s.replace(idx, k, src)
-    if kind == "permute":
-        order = draw(st.permutations(range(n)), label="order")
-        return lambda s: s.permute(order)
-    if cand.pos == n - 1:
-        # the pass's use: a sublattice Lagrange over the rows before pos
-        variant = draw(st.sampled_from(Variant), label="variant")
-        return lambda s: _lagrange(s, n - 1, variant)
-    return None
+    # the pass's use: a sublattice Lagrange over the rows but pos, swept
+    # in a drawn order
+    rest = draw(st.permutations([t for t in range(n) if t != cand.pos]),
+                label="rest")
+    variant = draw(st.sampled_from(Variant), label="variant")
+    return lambda s: _lagrange(s, variant, rest[:])
 
 
 def assert_exact(state, adj, g):
@@ -104,22 +104,22 @@ def test_state_steps_keep_gram_r_and_s(rows, data):
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(), data=st.data())
 def test_carried_adjugate_matches_a_fresh_one(rows, data):
-    # rounds of candidate steps, each replayed into the state and adj as
-    # an accepted screening is; adj must stay the state's exact adjugate
+    # rounds of candidate steps, each replayed into the state as an
+    # accepted screening is; its adjugate must stay exact
     n = len(rows)
     state = BasisState(rows)
-    adj = _adjugate(state.gram)
+    adj = state.adjugate()
     g = det(state.gram)
     assert g > 0
     for _ in range(data.draw(st.integers(1, 4), label="rounds")):
         order = data.draw(st.permutations(range(n)), label="order")
-        cand = Candidate(state, adj, order[-1], state.r)
-        cand.permute(order)
+        cand = Candidate(state, order[-1], state.r)
         for _ in range(data.draw(st.integers(1, 4), label="steps")):
             step = _candidate_step(data.draw, cand)
             if step is not None:
                 step(cand)
-        cand.replay(state, adj)
+        cand.replay(state, order)
+        assert state.adj is adj
         assert_exact(state, adj, g)
 
 
@@ -150,15 +150,14 @@ def test_r_and_s_are_those_of_the_rows(rows, data):
         if data.draw(st.booleans(), label="read"):
             assert_r_and_s_rebuilt(state)
     assert_r_and_s_rebuilt(state)
-    adj = _adjugate(state.gram)
+    state.adjugate()
     order = data.draw(st.permutations(range(n)), label="order")
-    cand = Candidate(state, adj, order[-1], state.r)
-    cand.permute(order)
+    cand = Candidate(state, order[-1], state.r)
     for _ in range(data.draw(st.integers(0, 4), label="candidate steps")):
         step = _candidate_step(data.draw, cand)
         if step is not None:
             step(cand)
-    cand.replay(state, adj)
+    cand.replay(state, order)
     assert_r_and_s_rebuilt(state)
 
 
@@ -225,8 +224,8 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
     # and scores the shear against a Gram matrix: the state's, or that of
     # a Candidate whose other rows it reduced.  The row must be the row of
     # a fresh adjugate of that Gram matrix, at the sheared position.  An
-    # accepted screening is replayed into the state and the pass's
-    # adjugate, which must then be exact
+    # accepted screening is replayed into the state, whose adjugate must
+    # then be exact
     reads, scores, replays = [], [], []
     shear, score, replay = (hyperplanar._shear_coeffs,
                             hyperplanar._sheared_r, Candidate.replay)
@@ -243,9 +242,9 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
         scores.append(i)
         return score(gram, r, i, coeffs, srcs)
 
-    def checked_replay(self, state, adj):
-        replay(self, state, adj)
-        assert_exact(state, adj, g)
+    def checked_replay(self, state, order):
+        replay(self, state, order)
+        assert_exact(state, state.adj, g)
         replays.append(self)
 
     state = BasisState(rows)
@@ -263,21 +262,21 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
 @settings(max_examples=80, deadline=None)
 @given(rows=bases(st.integers(2, 8)), data=st.data())
 def test_candidate_follows_the_state_it_was_made_from(rows, data):
-    # a Candidate made with an order and a copy of its state permuted by
-    # it run the same steps; the candidate must match the copy's gram and
-    # r and carry the row at pos of the copy's adjugate, and replaying
-    # it must turn its state into the copy and its adjugate into the copy's
+    # a Candidate and a copy of its state run the same steps; the
+    # candidate must match the copy's gram and r and carry the row at pos
+    # of the copy's adjugate, and replaying it with an order must turn
+    # its state into the copy permuted by that order, and the state's
+    # adjugate into the copy's
     n = len(rows)
     state = BasisState(rows)
-    adj = _adjugate(state.gram)
+    adj = state.adjugate()
     g = det(state.gram)
     ref = state.copy()
     order = data.draw(st.permutations(range(n)), label="order")
-    cand = Candidate(state, adj, order[-1], state.r)
-    cand.permute(order)
-    ref.permute(order)
+    pos = order[-1]
+    cand = Candidate(state, pos, state.r)
     assert (cand.gram, cand.r) == (ref.gram, ref.r)
-    assert cand.pos == n - 1
+    assert cand.pos == pos
     assert cand.arow == _adjugate(ref.gram)[cand.pos]
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         step = _candidate_step(data.draw, cand)
@@ -287,10 +286,27 @@ def test_candidate_follows_the_state_it_was_made_from(rows, data):
         step(cand)
         assert (cand.gram, cand.r) == (ref.gram, ref.r)
         assert cand.arow == _adjugate(ref.gram)[cand.pos]
-    cand.replay(state, adj)
+    cand.replay(state, order)
+    ref.permute(order)
     assert (state.trans, state.gram, state.r, state.s) == (
         ref.trans, ref.gram, ref.r, ref.s)
     assert_exact(state, adj, g)
+
+
+def test_a_candidate_needs_a_current_adjugate():
+    # the state's adjugate is current only while its log is empty: before
+    # the first adjugate() call there is none, and after a logged step it
+    # lags the Gram matrix
+    state = BasisState([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    with pytest.raises(AssertionError):
+        Candidate(state, 0, state.r)
+    state.adjugate()
+    Candidate(state, 0, state.r)
+    state.replace(1, 1, 2)
+    with pytest.raises(AssertionError):
+        Candidate(state, 0, state.r)
+    state.adjugate()
+    assert Candidate(state, 0, state.r).arow == _adjugate(state.gram)[0]
 
 
 def test_reordered_takes_rows_and_columns_in_order():

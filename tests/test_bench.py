@@ -19,6 +19,13 @@ def test_spec_validation():
         GeneratorSpec(family="full", dim=1)
     with pytest.raises(ValueError):
         GeneratorSpec(family="full", dim=5, entry_range=(3, 3))
+    # non-integers fail when the spec is built, not later in random;
+    # bool does not count as an integer
+    for bad in [dict(dim=2.5), dict(dim=True), dict(entry_range=(0.5, 2.5)),
+                dict(entry_range=("0", "9")), dict(entry_range=(0, True)),
+                dict(seed=1.0), dict(seed="1"), dict(seed=False)]:
+        with pytest.raises(ValueError):
+            GeneratorSpec(**{"family": "full", "dim": 5, **bad})
 
 
 def test_generate_is_deterministic():
@@ -111,6 +118,9 @@ def test_run_battery_single_algorithm():
 def test_run_battery_validates_count():
     with pytest.raises(ValueError):
         run_battery(GeneratorSpec(family="full", dim=4, seed=0), 0)
+    for count in (2.5, True):
+        with pytest.raises(ValueError):
+            run_battery(GeneratorSpec(family="full", dim=4, seed=0), count)
 
 
 def _doubled(rows):

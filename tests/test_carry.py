@@ -76,12 +76,15 @@ def _steps(draw, state):
         elif kind == "permute":
             state.permute(draw(st.permutations(range(n)), label="order"))
         elif kind == "lagrange":
-            _lagrange(state, draw(st.integers(1, n), label="m"),
-                      draw(st.sampled_from(Variant), label="variant"))
+            # every row, or some rows in a drawn sweep order
+            order = draw(st.permutations(range(n)), label="order")
+            order = order[:draw(st.integers(1, n), label="m")]
+            _lagrange(state, draw(st.sampled_from(Variant), label="variant"),
+                      order if draw(st.booleans(), label="ordered") else None)
         else:
             # as the driver runs it: on pairs whose quotients are all zero,
             # where single steps cannot take long
-            _lagrange(state, n, draw(st.sampled_from(Variant), label="variant"))
+            _lagrange(state, draw(st.sampled_from(Variant), label="variant"))
             _simplify(state, draw(st.sampled_from(Variant), label="variant"))
 
 

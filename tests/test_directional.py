@@ -140,7 +140,7 @@ def test_sweep_state_stays_consistent():
         n = rng.randrange(2, 7)
         b = random_basis(n, rng)
         state = BasisState(b.rows)
-        _lagrange(state, n, VARIANTS[trial % 2])
+        _lagrange(state, VARIANTS[trial % 2])
         _simplify(state, VARIANTS[(trial + 1) % 2])
         assert state.consistent()
         recon = [[sum(t * x for t, x in zip(trow, col))
@@ -189,4 +189,4 @@ def test_a_broken_gram_update_fails_the_sweep(monkeypatch, family, n, entries,
     state = BasisState(generate(GeneratorSpec(family, n, entries, seed)).rows)
     monkeypatch.setattr(BasisState, "replace", _mutant_replace(10_000))
     with pytest.raises(AssertionError):
-        _lagrange(state, n, variant)
+        _lagrange(state, variant)

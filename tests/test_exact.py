@@ -168,6 +168,16 @@ def test_solve_in_sublattice_examples():
     assert got == (Fraction(5, 2), Fraction(-1))
 
 
+def test_solve_in_sublattice_rejects_a_target_off_the_span():
+    # the least-squares coordinates of (2, 1) over the column (1, 0) are 2
+    with pytest.raises(ValueError, match="span"):
+        solve_in_sublattice([[1], [0]], [2, 1])
+    with pytest.raises(ValueError, match="span"):
+        solve_in_sublattice(((1, 0), (0, 1), (0, 0)),
+                            (Fraction(5, 2), -1, Fraction(1, 3)))
+    assert solve_in_sublattice([[1], [0]], [2, 0]) == (Fraction(2),)
+
+
 def test_solve_in_sublattice_degenerate():
     with pytest.raises(DegenerateSublatticeError):
         solve_in_sublattice(((1, 2), (2, 4), (0, 0)), (1, 2, 0))

@@ -20,22 +20,21 @@ from conftest import B_EXAMPLE
 def shear(isolated, sub):
     """isolated sheared by the pass's kernel over the rows of sub.
 
-    The coefficients are read off a Candidate of sub + [isolated] built
-    with the basis's adjugate and applied through replace, as the pass
+    The coefficients are read off a Candidate of sub + [isolated] made
+    from the basis's state and applied through replace, as the pass
     does once it accepts a shear; the candidate is replayed and the
-    adjugate checked against a fresh one.
+    state's adjugate checked against a fresh one.
     """
     state = BasisState(list(sub) + [isolated])
-    adj = _adjugate(state.gram)
+    state.adjugate()
     m = len(sub)
-    cand = Candidate(state, adj, m, state.r)
-    cand.permute(list(range(m + 1)))
+    cand = Candidate(state, m, state.r)
     for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
         if c:
             cand.replace(m, c, t)
-    cand.replay(state, adj)
+    cand.replay(state, list(range(m + 1)))
     assert state.consistent()
-    assert adj == _adjugate(state.gram)
+    assert state.adj == _adjugate(state.gram)
     assert state.rows[:m] == [list(v) for v in sub]
     return tuple(state.row(m))
 
@@ -102,13 +101,14 @@ def test_shear_one_dim_sublattice_is_closest_by_enumeration():
 def reduce_sublattice(rows, m, variant=Variant.INSERT):
     """rows[:m] after the pass's sublattice step, with rows[m:] checked.
 
-    Norm-sorts rows[:m] and runs _lagrange over them on a BasisState of the
-    full basis, as the pass does before it shears row m.
+    Sweeps rows[:m] in norm order with _lagrange on a BasisState of the
+    full basis, as the pass does before it shears row m, and then moves
+    them into the order the sweeps left them in.
     """
     state = BasisState(rows)
-    order = sorted(range(m), key=lambda t: state.gram[t][t])
+    order = [t for t in state.norm_order() if t < m]
+    _lagrange(state, variant, order)
     state.permute(order + list(range(m, len(rows))))
-    _lagrange(state, m, variant)
     assert state.consistent()
     assert state.rows[m:] == [list(r) for r in rows[m:]]
     return [tuple(r) for r in state.rows[:m]]
@@ -204,9 +204,9 @@ def test_trace_normal_is_the_accepted_sublattice_normal(
     replays = []
     replay = Candidate.replay
 
-    def counting(self, state, adj):
+    def counting(self, state, order):
         replays.append(self)
-        replay(self, state, adj)
+        replay(self, state, order)
 
     monkeypatch.setattr(Candidate, "replay", counting)
 

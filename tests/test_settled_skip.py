@@ -53,7 +53,7 @@ def reference_outputs(rows, options):
         state.sort_by_norm()
         if options.method == 2:
             _hyperplanar(state, options.lagrange)
-        _lagrange(state, len(state.gram), options.lagrange)
+        _lagrange(state, options.lagrange)
         _simplify(state, options.simplification)
         _hyperplanar(state, options.lagrange)
         r_history.append(state.r)
@@ -74,7 +74,7 @@ def _directionally_reduced(rows, options):
     for _ in range(20):
         trans = [r[:] for r in state.trans]
         state.sort_by_norm()
-        _lagrange(state, len(state.gram), opts.lagrange)
+        _lagrange(state, opts.lagrange)
         _simplify(state, opts.simplification)
         if state.trans == trans:
             return state.rows

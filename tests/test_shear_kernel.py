@@ -58,21 +58,23 @@ def test_kernel_matches_geometric_oracle(rows, data):
     i = data.draw(st.integers(0, m), label="isolated")
     state = BasisState(rows)
     # taken before the rows move, so the kernel reads the replayed adjugate
-    adj = _adjugate(state.gram)
-    rest = [t for t in range(n) if t != i]
+    adj = state.adjugate()
     reduce_sublattice = data.draw(st.booleans(), label="sublattice lagrange")
+    # the pass's order: the rest in norm order, or in row order without
+    # sublattice reduction
+    rest = [t for t in (state.norm_order() if reduce_sublattice else range(n))
+            if t != i]
+    cand = Candidate(state, i, state.r)
     if reduce_sublattice:
-        # the pass's order: the rest norm-sorted, row i last
-        rest.sort(key=lambda t: state.gram[t][t])
-    cand = Candidate(state, adj, i, state.r)
-    cand.permute(rest + [i])
-    if reduce_sublattice:
-        _lagrange(cand, m, data.draw(st.sampled_from(Variant), label="variant"))
-    cand.replay(state, adj)
+        _lagrange(cand, data.draw(st.sampled_from(Variant), label="variant"),
+                  rest)
+    cand.replay(state, rest + [i])
     assert state.consistent()
     assert adj == _adjugate(state.gram)
-    assert cand.arow == adj[m]
-    assert _shear_coeffs(cand.arow, m) == oracle(state.rows[m], state.rows[:m])
+    # the candidate's row, taken in screening order
+    arow = [cand.arow[t] for t in rest + [i]]
+    assert arow == adj[m]
+    assert _shear_coeffs(arow, m) == oracle(state.rows[m], state.rows[:m])
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,7 +142,7 @@ def test_constructed_ties_under_unimodular_mixing(n, data):
 def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     # _sheared_r scores rows[i] += sum c·rows[t] without applying it; a
     # Candidate applying the same replaces must reach that r.  Scored in
-    # place (the pre-pass) and in screening order, row i last
+    # place (the pre-pass) and on a copy in screening order, row i last
     n = len(rows)
     m = n - 1
     i = data.draw(st.integers(0, m), label="isolated")
@@ -155,12 +157,14 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     before = [row[:] for row in state.gram]
     in_place = _sheared_r(state.gram, state.r, i, coeffs, rest)
     assert state.gram == before
-    cand = Candidate(state, _adjugate(state.gram), i, state.r)
-    cand.permute(rest + [i])
-    assert _sheared_r(cand.gram, cand.r, m, coeffs, range(m)) == in_place
-    for c, t in zip(coeffs, range(m)):
+    ordered = state.copy()
+    ordered.permute(rest + [i])
+    assert _sheared_r(ordered.gram, ordered.r, m, coeffs, range(m)) == in_place
+    state.adjugate()
+    cand = Candidate(state, i, state.r)
+    for c, t in zip(coeffs, rest):
         if c:
-            cand.replace(m, c, t)
+            cand.replace(i, c, t)
     assert cand.r == in_place
     if not any(coeffs):
         assert in_place == state.r

@@ -20,9 +20,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubify import GeneratorSpec, Variant, det, generate
 from cubify import _state, directional, hyperplanar
-from cubify._state import BasisState, Candidate
+from cubify._state import BasisState, Candidate, _reordered
 from cubify.directional import _lagrange, _simplify
-from cubify.exact import _adjugate, _round_ratio
+from cubify.exact import _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
 from test_bit_identity import _het20_permuted
@@ -140,7 +140,21 @@ class _Swapping:
         self.permute(order)
 
 
-class PlainCandidate(_Swapping, Candidate):
+class _Permuting:
+    """A Candidate's permute, which the pass never takes: the gram copy
+    and the adjugate row reordered, pos followed and the step logged, so
+    that replay(state, identity) moves the state by it."""
+
+    __slots__ = ()
+
+    def permute(self, order):
+        self.gram = _reordered(self.gram, order)
+        self.arow = [self.arow[j] for j in order]
+        self.pos = order.index(self.pos)
+        self.log.append(("permute", order))
+
+
+class PlainCandidate(_Swapping, _Permuting, Candidate):
     """A Candidate that plain_lagrange can run on."""
 
     __slots__ = ()
@@ -151,11 +165,11 @@ def long_hyperplanar(state, variant, reduce_sublattice):
     judging it; returns the adjugate of the final gram."""
     n = len(state.gram)
     m = n - 1
-    adj = _adjugate(state.gram)
+    state.adjugate()
     i = 0
     while i < n:
         rest = [t for t in range(n) if t != i]
-        cand = PlainCandidate(state, adj, i, state.r)
+        cand = PlainCandidate(state, i, state.r)
         if reduce_sublattice:
             rest.sort(key=lambda t: state.gram[t][t])
             cand.permute(rest + [i])
@@ -173,11 +187,11 @@ def long_hyperplanar(state, variant, reduce_sublattice):
         if cand.r < state.r:
             if not reduce_sublattice:
                 cand.permute(rest + [i])
-            cand.replay(state, adj)
+            cand.replay(state, list(range(n)))
             i = 0
         else:
             i += 1
-    return adj
+    return state.adj
 
 
 # -- states that log every row operation they take --------------------------
@@ -212,7 +226,7 @@ class LoggedState(_Logged, BasisState):
         return tuple(self.trans[t])
 
 
-class LoggedCandidate(_Logged, Candidate):
+class LoggedCandidate(_Logged, _Permuting, Candidate):
     """Labels each row by its position in the state the candidate was
     made from, tracked through every permute."""
 
@@ -237,15 +251,19 @@ def _full(state):
     return state.calls, state.trans, state.gram, state.r, state.s
 
 
-def _trial(cand):
-    return cand.gram, cand.r, cand.arow, cand.pos
+def _trial(cand, order=None):
+    """What a candidate holds, as if permuted by order."""
+    if order is None:
+        order = list(range(len(cand.gram)))
+    return (_reordered(cand.gram, order), cand.r,
+            [cand.arow[t] for t in order], order.index(cand.pos))
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=bases(), variant=st.sampled_from(Variant))
 def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
     new, plain = _state_pair(rows)
-    _lagrange(new, len(rows), variant)
+    _lagrange(new, variant)
     plain_lagrange(plain, len(rows), variant)
     assert new.steps == plain.steps
     assert _full(new)[1:] == _full(plain)[1:]
@@ -257,28 +275,28 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
 def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
                                                              data):
     # as a screening does: reduce the other m = n - 1 rows in sweep order
-    # rest on an unpermuted candidate, then put them first and row pos
-    # last; the plain loop runs on a candidate permuted so up front
+    # rest on an unpermuted candidate, then replay it with them first and
+    # row pos last; the plain loop runs on a candidate permuted so up front
     n = len(rows)
     pos = data.draw(st.integers(0, n - 1), label="pos")
     rest = data.draw(st.permutations([t for t in range(n) if t != pos]),
                      label="rest")
     state = BasisState(rows)
-    adj = _adjugate(state.gram)
-    new, plain = (LoggedCandidate(state, adj, pos, state.r),
-                  LoggedCandidate(state, adj, pos, state.r))
+    state.adjugate()
+    new, plain = (LoggedCandidate(state, pos, state.r),
+                  LoggedCandidate(state, pos, state.r))
     order = rest[:]
-    _lagrange(new, n - 1, variant, order)
-    new.permute(order + [pos])
+    _lagrange(new, variant, order)
     plain.permute(rest + [pos])
     plain_lagrange(plain, n - 1, variant)
     assert new.steps == plain.steps
-    assert _trial(new) == _trial(plain)
+    assert _trial(new, order + [pos]) == _trial(plain)
     replayed = []
-    for cand in (new, plain):
-        copy, carried = state.copy(), [r[:] for r in adj]
-        cand.replay(copy, carried)
-        replayed.append((copy.trans, copy.gram, copy.r, copy.s, carried))
+    for cand, by in ((new, order + [pos]), (plain, list(range(n)))):
+        copy = state.copy()
+        copy.adjugate()
+        cand.replay(copy, by)
+        replayed.append((copy.trans, copy.gram, copy.r, copy.s, copy.adj))
     assert replayed[0] == replayed[1]
 
 
@@ -294,28 +312,26 @@ def test_a_swept_order_once_permuted_is_the_plain_loops_candidate(
     order = data.draw(st.permutations(range(n)), label="order")
     m = data.draw(st.integers(1, n - 1), label="m")
     state = BasisState(rows)
-    adj = _adjugate(state.gram)
-    new, plain = (PlainCandidate(state, adj, order[-1], state.r),
-                  PlainCandidate(state, adj, order[-1], state.r))
+    state.adjugate()
+    new, plain = (Candidate(state, order[-1], state.r),
+                  PlainCandidate(state, order[-1], state.r))
     swept = order[:m]
-    _lagrange(new, m, variant, swept)
+    _lagrange(new, variant, swept)
     assert new.log == [step for step in new.log if step[0] == "replace"]
     assert sorted(swept) == sorted(order[:m])
-    new.permute(swept + order[m:])
     plain.permute(order)
     plain_lagrange(plain, m, variant)
-    assert _trial(new) == _trial(plain)
+    assert _trial(new, swept + order[m:]) == _trial(plain)
 
 
 @settings(max_examples=120, deadline=None)
-@given(rows=bases(), variant=st.sampled_from(Variant), data=st.data())
-def test_lagrange_moves_a_states_rows_at_most_once(rows, variant, data):
-    # over rows[:m], as the plain loop does, with one permute at the end
-    m = data.draw(st.integers(1, len(rows)), label="m")
+@given(rows=bases(), variant=st.sampled_from(Variant))
+def test_lagrange_moves_a_states_rows_at_most_once(rows, variant):
+    # over every row, as the plain loop does, with one permute at the end
     new, plain = _state_pair(rows)
     new.log = []
-    _lagrange(new, m, variant)
-    plain_lagrange(plain, m, variant)
+    _lagrange(new, variant)
+    plain_lagrange(plain, len(rows), variant)
     ops = [step[0] for step in new.log]
     assert "permute" not in ops[:-1]
     assert set(ops) <= {"replace", "permute"}
@@ -330,7 +346,7 @@ def test_simplify_takes_the_plain_loops_steps(rows, lagrange, variant):
     # an unreduced 100-digit basis is a subtractive Euclid
     new, plain = _state_pair(rows)
     for state in (new, plain):
-        _lagrange(state, len(rows), lagrange)
+        _lagrange(state, lagrange)
         state.calls.clear()
     _simplify(new, variant)
     plain_simplify(plain, variant)
@@ -380,10 +396,10 @@ def _counted(monkeypatch, owner, name):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_reduced_state_takes_no_rounded_quotient(monkeypatch, variant):
     state = BasisState(generate(GeneratorSpec("full", 10, (0, 100), seed=3)))
-    _lagrange(state, 10, variant)
+    _lagrange(state, variant)
     before = state.copy()
     calls = _counted(monkeypatch, directional, "_round_ratio")
-    _lagrange(state, 10, variant)
+    _lagrange(state, variant)
     assert calls == []
     assert state.trans == before.trans and state.gram == before.gram
 
@@ -392,7 +408,7 @@ def test_a_reduced_state_takes_no_rounded_quotient(monkeypatch, variant):
 def test_a_simplified_state_scores_each_pair_once(monkeypatch, variant):
     n = 10
     state = BasisState(generate(GeneratorSpec("full", n, (0, 100), seed=3)))
-    _lagrange(state, n, Variant.INSERT)
+    _lagrange(state, Variant.INSERT)
     _simplify(state, variant)
     before = state.copy()
     nonzero = sum(1 for i in range(n) for j in range(i)
@@ -421,11 +437,11 @@ def test_a_reduced_state_tests_each_pair_once(monkeypatch, variant):
     # its mirror (j, i)
     n = 10
     state = BasisState(generate(GeneratorSpec("full", n, (0, 100), seed=3)))
-    _lagrange(state, n, variant)
+    _lagrange(state, variant)
     before = state.copy()
     state.gram = [[_CountedAbs(x) for x in row] for row in state.gram]
     monkeypatch.setattr(_CountedAbs, "tests", 0)
-    _lagrange(state, n, variant)
+    _lagrange(state, variant)
     assert _CountedAbs.tests == n * (n - 1) // 2
     assert state.trans == before.trans and state.gram == before.gram
 
@@ -466,3 +482,38 @@ def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
     assert len(reorders) - len(on_adj) == len(accepted) > 0
     assert len(on_adj) <= len(accepted)
     assert len(screenings) > 2 * len(accepted)
+
+
+def test_a_pass_screens_in_the_states_norm_order(monkeypatch):
+    # with norm ties broken by descending position instead, every
+    # sublattice sweep must receive the other rows in the order
+    # norm_order gives the Gram matrix its screening starts from, also
+    # after an accepted screening has moved the rows
+    def descending_ties(self):
+        g = self.gram
+        return sorted(range(len(g)), key=lambda t: (g[t][t], -t))
+
+    received = []
+    inner = hyperplanar._lagrange
+
+    def recording(cand, variant, order=None):
+        g = cand.gram
+        stable = sorted(range(len(g)), key=lambda t: g[t][t])
+        received.append((order[:],
+                         [t for t in descending_ties(cand) if t != cand.pos],
+                         [t for t in stable if t != cand.pos]))
+        inner(cand, variant, order)
+
+    monkeypatch.setattr(BasisState, "norm_order", descending_ties)
+    monkeypatch.setattr(hyperplanar, "_lagrange", recording)
+    # four rows of norm 5, then draws with some equal norms
+    bases = [[[2, 1, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [1, 0, 0, 2]]]
+    bases += [generate(GeneratorSpec("full", 8, (0, 9), seed=s)).rows
+              for s in range(4)]
+    accepted = []
+    for rows in bases:
+        for variant in Variant:
+            _hyperplanar(BasisState(rows), variant, trace=accepted)
+    assert accepted
+    assert all(got == expected for got, expected, _ in received)
+    assert any(expected != stable for _, expected, stable in received)
