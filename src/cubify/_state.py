@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from operator import add, itemgetter, sub
 
-from .exact import _adjugate, _matmul, _rhombicity, metric_tensor, norm_sum
+from .exact import _adjugate, _gram, _matmul, _rhombicity, _trace
 
 
 def _axpy(x, k, y):
@@ -129,7 +129,7 @@ class BasisState:
         self.base = tuple(tuple(r) for r in rows)
         n = len(self.base)
         self.trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        self.gram = [list(row) for row in metric_tensor(self.base)]
+        self.gram = _gram(self.base)
         self.adj = self.log = None
 
     def adjugate(self):
@@ -155,7 +155,7 @@ class BasisState:
     @property
     def s(self):
         """The norm sum of gram."""
-        return norm_sum(self.gram)
+        return _trace(self.gram)
 
     @property
     def rows(self):
@@ -236,7 +236,7 @@ class BasisState:
 
     def consistent(self):
         """Whether gram matches the metric tensor of trans · base."""
-        return list(map(list, metric_tensor(self.rows))) == self.gram
+        return _gram(self.rows) == self.gram
 
 
 class Candidate:

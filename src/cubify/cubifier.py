@@ -48,7 +48,8 @@ from enum import Enum
 
 from ._state import BasisState
 from .directional import Variant, _lagrange, _simplify
-from .exact import Basis, _as_rows, _matmul, det, metric_tensor, norm_sum, rhombicity
+from .exact import Basis, _as_rows, _gram, _matmul, _rhombicity, _trace, det, \
+    metric_tensor
 from .hyperplanar import _hyperplanar
 
 
@@ -228,13 +229,13 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     if abs(det(transform)) != 1:
         raise AssertionError("transform is not unimodular")
     reduced = Basis._checked_elsewhere(state.rows)
-    gram = metric_tensor(reduced)
-    if gram != tuple(tuple(r) for r in state.gram):
+    gram = _gram(reduced.rows)
+    if gram != state.gram:
         raise AssertionError("output metric tensor differs from the tracked one")
 
     timings["total"] = time.perf_counter() - t_start
     report = ReductionReport(
-        r_in=r_in, r_out=rhombicity(gram), s_in=s_in, s_out=norm_sum(gram),
+        r_in=r_in, r_out=_rhombicity(gram), s_in=s_in, s_out=_trace(gram),
         cycles=cycles, matrix_class=matrix_class, options=opts, auto=auto,
         transform=transform, timings=timings, r_history=r_history,
         pre_pass_applied=opts.pre_hyperplanar, max_cycles_exhausted=exhausted)
@@ -267,9 +268,10 @@ def verify_problems(original, reduced, report) -> list:
         return problems
     for side, b, r, s in (("input", original, report.r_in, report.s_in),
                           ("output", reduced, report.r_out, report.s_out)):
+        # built symmetric, so R and S need no symmetry check
         m = metric_tensor(b)
-        for name, got, claimed in (("rhombicity", rhombicity(m), r),
-                                   ("norm sum", norm_sum(m), s)):
+        for name, got, claimed in (("rhombicity", _rhombicity(m), r),
+                                   ("norm sum", _trace(m), s)):
             if got != claimed:
                 problems.append("recomputed %s %s %d != reported %d"
                                 % (side, name, got, claimed))

@@ -10,10 +10,11 @@ het20 as perfbench's het20 workload feeds it: rows permuted and signed by
 random.Random(1), matrices 0 and 1.  Two pin perfbench's dense-hyp
 workload at seed 1: full n = 12 draws with entries in (0, 100) and
 generator seeds 1_000_000 and 1_000_001.  One more digest covers a full
-n = 10 draw under all 16 explicit option sets.  Two pin inputs on which the
-hyperplanar adjugate is carried across several passes: a full n = 20 draw
-with entries in (0, 100) and a full n = 8 draw with entries in
-(-10^50, 10^50).  A digest changes only when the reduction takes a
+n = 10 draw under all 16 explicit option sets.  Three pin inputs on which
+the hyperplanar adjugate is carried across several passes: a full n = 20
+draw with entries in (0, 100), and full n = 8 and n = 12 draws with entries
+in (-10^50, 10^50); on the n = 12 draw the one adjugate solve takes over
+half of cubify's time.  A digest changes only when the reduction takes a
 different path, so a change here needs a stated reason, not an updated
 constant.
 """
@@ -59,6 +60,8 @@ CARRIED = {
                 "8092694fa4de38f0c5dc2042468141c3df110ba988e9117af5f0e95ea1c5cb9d"),
     "full-8-e50": (GeneratorSpec("full", 8, (-10 ** 50, 10 ** 50), seed=8),
                    "97d29fcd03556ad1198ab65fa29bf96f90ba8a1ec5c8191bc5e9ed6cdc1492e0"),
+    "full-12-e50": (GeneratorSpec("full", 12, (-10 ** 50, 10 ** 50), seed=12),
+                    "dc3e764f7f5ee5e9a1b3fe5d022c0fff2c1b734b0a7d845cb191314b15669d82"),
 }
 
 #: full n = 10, entries in (-1000, 1000), seed 10, under every explicit

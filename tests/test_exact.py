@@ -11,7 +11,7 @@ from cubify import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     hyperplane_normal, lattice_equal, metric_tensor,
                     nearest_int, norm_sum, rhombicity, solve_in_sublattice)
 from cubify._state import BasisState
-from cubify.exact import (_matmul, _round_ratio, _Singular,
+from cubify.exact import (_adjugate, _gram, _matmul, _round_ratio, _Singular,
                           _solve_fraction_free)
 
 from conftest import B_EXAMPLE, B_EXAMPLE_REDUCED
@@ -39,6 +39,27 @@ def test_metric_tensor_example():
 def test_metric_tensor_orthogonal_is_diagonal():
     m = metric_tensor(((2, 0, 0), (0, -3, 0), (0, 0, 1)))
     assert m == ((4, 0, 0), (0, 9, 0), (0, 0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), k=st.integers(0, 8), n=st.integers(0, 6))
+def test_gram_is_the_table_of_scalar_products(data, k, n):
+    rows = data.draw(st.lists(
+        st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * n),
+        min_size=k, max_size=k))
+    assert _gram(rows) == [[dot(u, v) for v in rows] for u in rows]
+
+
+def test_metric_tensor_validates_and_returns_tuples():
+    assert metric_tensor([[1, 2], [3, 4], [0, 1]]) == (
+        (5, 11, 2), (11, 25, 4), (2, 4, 1))
+    assert metric_tensor(()) == ()
+    with pytest.raises(DimensionMismatchError):
+        metric_tensor([[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        metric_tensor([[1], [2, 3]])
+    with pytest.raises(TypeError):
+        metric_tensor([[1, 0], [0, 1.0]])
 
 
 def test_rhombicity_and_norm_sum_examples():
@@ -247,6 +268,50 @@ def test_solve_fraction_free_with_row_swaps():
             for c in range(2):
                 assert sum(a[i][j] * nums[j][c] for j in range(n)) == d * b[i][c]
         solved += 1
+
+
+def _general_adjugate(gram):
+    n = len(gram)
+    return _solve_fraction_free(
+        gram, [[int(i == j) for j in range(n)] for i in range(n)])[1]
+
+
+ADJUGATE_ENTRIES = {"up to 100": st.integers(-100, 100),
+                    "up to 10^100": st.integers(-10 ** 100, 10 ** 100)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12),
+       entries=st.sampled_from(sorted(ADJUGATE_ENTRIES)))
+def test_adjugate_matches_the_general_solve(data, n, entries):
+    # the symmetric kernel is the oracle of the carried-adjugate tests;
+    # this ties it to the general one
+    row = st.lists(ADJUGATE_ENTRIES[entries], min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    gram = _gram(rows)
+    adj = _adjugate(gram)
+    assert adj == _general_adjugate(gram)
+    d = det(gram)
+    assert _matmul(gram, adj) == [[d * (i == j) for j in range(n)]
+                                  for i in range(n)]
+
+
+@pytest.mark.parametrize("gram, adj", [
+    ([[7]], [[1]]),
+    ([[2, 1], [1, 3]], [[3, -1], [-1, 2]]),
+    ([[5, -2], [-2, 1]], [[1, 2], [2, 5]]),
+])
+def test_adjugate_small_cases(gram, adj):
+    assert _adjugate(gram) == adj == _general_adjugate(gram)
+
+
+@pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[0, 1], [1, 0]],
+                                  [[-1]]])
+def test_adjugate_rejects_a_matrix_that_is_not_positive_definite(gram):
+    # symmetric, nonsingular, but with a pivot <= 0
+    with pytest.raises(AssertionError):
+        _adjugate(gram)
 
 
 def test_lattice_equal_example():
