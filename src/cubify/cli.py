@@ -75,12 +75,13 @@ def parse_matrix_text(text) -> list:
                 "row has %d entries, expected %d" % (len(row), width),
                 lineno, 1)
         rows.append(row)
+        last = lineno
     if not rows:
         raise MatrixParseError("no matrix rows found", 1, 1)
     if len(rows) != width:
         raise MatrixParseError(
             "matrix is %dx%d, expected square" % (len(rows), width),
-            len(rows), 1)
+            last, 1)
     return rows
 
 

@@ -9,9 +9,9 @@ rhombicity strictly drops.  Both come in two placement variants:
   insert - changed vectors take over a position (division: the shorter
            vector's slot); simplification re-sorts by norm after each change
 
-Both sweep until a full sweep changes nothing, so most visits find a pair
-that does not step, and they are kept cheap.  Division tests a pair's
-fixpoint inline: the rounded quotient (half to even) is zero exactly when
+Both sweep until a sweep changes nothing, so most visits find a pair that
+does not step, and they are kept cheap.  Division tests a pair's fixpoint
+inline: the rounded quotient (half to even) is zero exactly when
 2|g_ij| <= min(g_ii, g_jj), so only a pair that steps picks its divisor
 and rounds.  The test is symmetric, so until a sweep's first step each
 row visits only the pairs (i, j) with j > i: its mirror (j, i) was tested
@@ -27,6 +27,18 @@ weights sum |g_t| that the sweep reads once per unchanged state: at its
 start and after each accepted change.  r is their sum; the sweep keeps it
 as a local, which an accepted change's score replaces, and the state
 stores none.
+
+Neither repeats a verdict the sweep before it reached on the state it
+left.  If a division sweep's last step came in the row visit at position
+L, every later row visit tested every pair on the final state, so each
+pair with a position above L is at its fixpoint there; the next sweep,
+until its first step, visits only the rows at positions <= L and their
+pairs within them, and a row visit that steps runs on to the last
+position.  If a simplification sweep's last accepted change was visit
+last, it scored every later visit on the final state or skipped it as
+the mirror of one it scored there; the next sweep, unless it changes
+something first, ends after visit last.  Either way the sweep that
+confirms the fixpoint is shorter, and every step is the same.
 """
 
 from __future__ import annotations
@@ -53,6 +65,9 @@ def _lagrange(state, variant, order=None):
     row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
     positive integer, falls with every step and the sweeps end; each step
     asserts it, so a broken Gram update fails instead of looping.
+    A sweep before its first step skips every pair with a position past
+    the row visit of the last sweep's last step: that sweep tested them
+    all after its last step, on the state it left.
     Without order the sweeps cover every row and permute state once at
     the end, if a row moved.  order, when given, lists the rows to sweep,
     in sweep order (a screening passes the others in norm order); it is
@@ -61,54 +76,83 @@ def _lagrange(state, variant, order=None):
     g = state.gram
     p = list(range(len(g))) if order is None else order
     m = len(p)
-    changed = True
-    while changed:
-        changed = False
+    # one past the row visit of the last sweep's last step; the first
+    # sweep visits every row
+    top = m
+    while top:
+        # the last sweep tested every pair with a position >= end on the
+        # state it ended on; this sweep starts there and, until its first
+        # step, skips them
+        end, top = top, 0
         for i in range(m):
+            if top:
+                js = range(m)
+            elif i < end:
+                # until the sweep's first step, (i, j) with j < i was
+                # tested as (j, i) on this same state, and the test is
+                # symmetric
+                js = range(i + 1, end)
+            else:
+                break
             a = p[i]
             ga = g[a]
             da = ga[a]
-            # until the sweep's first step, (i, j) with j < i was tested
-            # as (j, i) on this same state, and the test is symmetric
-            for j in range(m) if changed else range(i + 1, m):
-                if i == j:
-                    continue
-                b = p[j]
-                # the fixpoint test, before any role or quotient
-                db = g[b][b]
-                if 2 * abs(ga[b]) <= (da if da < db else db):
-                    continue
-                # the shorter row divides; ties go to the lower position
-                u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
-                k = _round_ratio(g[u][v], g[u][u])
-                dv = g[v][v]
-                state.replace(v, -k, u)
-                assert 0 < g[v][v] < dv
-                if variant is Variant.APPEND:
-                    # drop both, append the remainder then the divisor
-                    p.remove(u)
-                    p.remove(v)
-                    p.append(v)
-                    p.append(u)
-                elif g[v][v] <= g[u][u]:
-                    # the remainder takes the divisor's position, the
-                    # divisor moves to the remainder's
-                    p[i], p[j] = p[j], p[i]
-                changed = True
-                # the step rebuilt row v and may have moved the rows in p
-                a = p[i]
-                ga = g[a]
-                da = ga[a]
+            # a visit checks once, not at every test, whether it took the
+            # sweep's first step and must go on past end
+            while True:
+                for j in js:
+                    if i == j:
+                        continue
+                    b = p[j]
+                    # the fixpoint test, before any role or quotient
+                    db = g[b][b]
+                    if 2 * abs(ga[b]) <= (da if da < db else db):
+                        continue
+                    # the shorter row divides; ties go to the lower position
+                    u, v = ((a, b) if da < db or (da == db and i < j)
+                            else (b, a))
+                    k = _round_ratio(g[u][v], g[u][u])
+                    dv = g[v][v]
+                    state.replace(v, -k, u)
+                    assert 0 < g[v][v] < dv
+                    if variant is Variant.APPEND:
+                        # drop both, append the remainder then the divisor
+                        p.remove(u)
+                        p.remove(v)
+                        p.append(v)
+                        p.append(u)
+                    elif g[v][v] <= g[u][u]:
+                        # the remainder takes the divisor's position, the
+                        # divisor moves to the remainder's
+                        p[i], p[j] = p[j], p[i]
+                    top = i + 1
+                    # the step rebuilt row v and may have moved the rows in p
+                    a = p[i]
+                    ga = g[a]
+                    da = ga[a]
+                if top <= i or js.stop == m:
+                    break
+                # the visit took the sweep's first step, which changed
+                # row i's pairs at positions >= end too
+                js = range(end, m)
     if order is None and p != list(range(m)):
         state.permute(p)
 
 
 def _simplify(state, variant):
-    """Single-step combinations accepted only on strict rhombicity decrease."""
+    """Single-step combinations accepted only on strict rhombicity decrease.
+
+    Visit i·n + j scores the pair (i, j), unless the sweep scored (j, i)
+    on this same state.  A sweep whose last accepted change was visit
+    last scored every later visit on the state it ended on, or skipped
+    it as such a mirror; so the next sweep, until it changes something,
+    ends after visit last.
+    """
     n = len(state.gram)
-    changed = True
-    while changed:
-        changed = False
+    # visit number of the last sweep's last accepted change; the first
+    # sweep visits every pair
+    stop = n * n - 1
+    while stop >= 0:
         # visit number i·n + j of the sweep's last accepted change
         last = -1
         g = state.gram
@@ -119,6 +163,10 @@ def _simplify(state, variant):
             gi = g[i]
             di = gi[i]
             for j in range(n):
+                if last < 0 and i * n + j > stop:
+                    # the last sweep left this visit, and every later
+                    # one, scored or skipped on this same state
+                    break
                 if i == j:
                     continue
                 if j < i and last < j * n + i:
@@ -151,12 +199,12 @@ def _simplify(state, variant):
                 else:
                     state.sort_by_norm()
                 last = i * n + j
-                changed = True
                 # the change rebuilt rows and may have moved every row
                 w = [sum(map(abs, row)) for row in g]
                 assert r == sum(w)
                 gi = g[i]
                 di = gi[i]
+        stop = last
 
 
 def lagrange_division(b, variant=Variant.INSERT) -> Basis:

@@ -33,6 +33,18 @@ Gram matrix and adjugate in place and copies nothing.  Either way the
 shear is scored with the rows where they stand.  Only an accepted
 screening applies its shear, to a Candidate, whose replay moves the
 state into screening order (the other rows, then x).
+
+An accepted screening leaves two screenings with nothing to do.  The
+sheared row, now last, is not screened again on the same state: its dual
+coordinates over the other rows are the old ones minus their roundings,
+all in [-1/2, 1/2], so each rounds to 0 (half to even) and the shear is
+the identity.  With sublattice reduction the other rows end on a sweep
+that took no step, so every pair without the last row is at its division
+fixpoint; one scan of the last row's pairs gives off, the rows whose pair
+with it is not.  A later screening of row i on that state with off
+within {i} would sweep rows of which no pair steps: it makes no Candidate
+and no sweep, and scores in place like a screening without the
+reduction, with the others in norm order.
 """
 
 from __future__ import annotations
@@ -96,7 +108,10 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     that of its final gram.  It reads the state's r and norm_order() at
     its start and after each accepted screening (a rejected one leaves
     gram as it was); r is a local that each accepted screening's score
-    replaces, checked against gram once, at the end.
+    replaces, checked against gram once, at the end.  After an accepted
+    screening it skips the screenings that would change nothing (see the
+    module docstring): the sheared row's, and with sublattice reduction
+    the sweep of rows none of whose pairs steps.
     """
     n = len(state.gram)
     if n < 2:
@@ -104,27 +119,34 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     adj = state.adjugate()
     current = state.r
     order = state.norm_order()
+    # after an accepted screening: the rows whose pair with the sheared,
+    # last row is off the division fixpoint (with sublattice reduction,
+    # every other pair is at it); before one, every row
+    off = set(range(n))
+    # after an accepted screening, the last row is not screened again
+    end = n
     i = 0
-    while i < n:
+    while i < end:
         # the other rows in row order, the rows a shear of row i combines
         others = [t for t in range(n) if t != i]
-        if reduce_sublattice:
+        rest = [t for t in order if t != i] if reduce_sublattice else others
+        if reduce_sublattice and not off <= {i}:
             # sweep the others in norm order on an unpermuted copy; rest
             # ends in the order the sweeps left them in
-            rest = [t for t in order if t != i]
             cand = Candidate(state, i, current)
             _lagrange(cand, lagrange_variant, rest)
             gram, arow, r = cand.gram, cand.arow, cand.r
         else:
-            # score the shear of row i where it stands; only an accepted
-            # screening makes a candidate
-            rest = others
+            # score the shear of row i where it stands: no pair of the
+            # others steps, or none is swept; only an accepted screening
+            # makes a candidate
+            cand = None
             gram, arow, r = state.gram, adj[i], current
         coeffs = _shear_coeffs(arow, i)
         r = _sheared_r(gram, r, i, coeffs, others)
         if r < current:
             before = tuple(state.row(i)) if trace is not None else None
-            if not reduce_sublattice:
+            if cand is None:
                 cand = Candidate(state, i, current)
             for c, t in zip(coeffs, others):
                 if c:
@@ -140,6 +162,14 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
                 trace.append(AcceptedShear(normal=_primitive(dual[0]),
                                            before=before,
                                            after=tuple(state.row(-1))))
+            # the sheared row's dual coordinates are the old ones minus
+            # their roundings, in [-1/2, 1/2], and all round to 0
+            end = n - 1
+            if reduce_sublattice:
+                g = state.gram
+                last = g[-1]
+                off = {t for t in range(end)
+                       if 2 * abs(last[t]) > min(g[t][t], last[-1])}
             i = 0
         else:
             i += 1
@@ -154,7 +184,9 @@ def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,
     rows as a sublattice (unless reduce_sublattice is off), shears the
     isolated vector toward the hyperplane foot, and accepts the candidate
     list {reduced sublattice..., sheared vector} only on a strict rhombicity
-    decrease.  The pass ends after one full screening with no acceptance.
+    decrease.  The pass ends after a round of screenings with no
+    acceptance; a round after an accepted change skips the vector it
+    sheared, whose shear would now round to zero.
 
     trace, when given, is a list that collects an AcceptedShear per accepted
     change.

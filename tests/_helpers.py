@@ -1,11 +1,17 @@
 """Shared test utilities: scramble generators and brute-force oracles.
 
 The oracles are deliberately dumb enumerations, independent of the package's
-reduction code, so they can vouch for it.
+reduction code, so they can vouch for it.  reference_lagrange and
+reference_simplify are the division and simplification sweeps as they ran
+before the sweeps learnt to end early: every sweep after one that changed
+something runs to its end.  The sweeps must take the same steps.
 """
 
 import itertools
 from pathlib import Path
+
+from cubify.directional import Variant
+from cubify.exact import _round_ratio
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -121,3 +127,129 @@ def pair_combinations(rows, box):
 def shortest_norm_in_box(rows, box):
     """Squared norm of the shortest nonzero combination with |coeff| <= box."""
     return min(sum(x * x for x in v) for v in pair_combinations(rows, box))
+
+
+def division_reduced(gram):
+    """Whether every pair of gram is at its division fixpoint."""
+    n = len(gram)
+    return all(2 * abs(gram[a][b]) <= min(gram[a][a], gram[b][b])
+               for a in range(n) for b in range(a + 1, n))
+
+
+# -- the sweeps before they ended early ------------------------------------
+
+def reference_lagrange(state, variant, order=None):
+    """Division sweeps until every rounded quotient is zero.
+
+    The sweeps leave gram where it is and move rows only in p, the
+    position map (p[t] is the Gram row at position t): a step replaces
+    one row in place and then drops both rows and appends them (APPEND)
+    or, when the remainder is no longer than the divisor, exchanges their
+    positions (INSERT).  A step's remainder is strictly shorter than the
+    row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
+    positive integer, falls with every step and the sweeps end; each step
+    asserts it, so a broken Gram update fails instead of looping.
+    Without order the sweeps cover every row and permute state once at
+    the end, if a row moved.  order, when given, lists the rows to sweep,
+    in sweep order (a screening passes the others in norm order); it is
+    swept in place as p and ends holding their order, and no row moves.
+    """
+    g = state.gram
+    p = list(range(len(g))) if order is None else order
+    m = len(p)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            a = p[i]
+            ga = g[a]
+            da = ga[a]
+            # until the sweep's first step, (i, j) with j < i was tested
+            # as (j, i) on this same state, and the test is symmetric
+            for j in range(m) if changed else range(i + 1, m):
+                if i == j:
+                    continue
+                b = p[j]
+                # the fixpoint test, before any role or quotient
+                db = g[b][b]
+                if 2 * abs(ga[b]) <= (da if da < db else db):
+                    continue
+                # the shorter row divides; ties go to the lower position
+                u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
+                k = _round_ratio(g[u][v], g[u][u])
+                dv = g[v][v]
+                state.replace(v, -k, u)
+                assert 0 < g[v][v] < dv
+                if variant is Variant.APPEND:
+                    # drop both, append the remainder then the divisor
+                    p.remove(u)
+                    p.remove(v)
+                    p.append(v)
+                    p.append(u)
+                elif g[v][v] <= g[u][u]:
+                    # the remainder takes the divisor's position, the
+                    # divisor moves to the remainder's
+                    p[i], p[j] = p[j], p[i]
+                changed = True
+                # the step rebuilt row v and may have moved the rows in p
+                a = p[i]
+                ga = g[a]
+                da = ga[a]
+    if order is None and p != list(range(m)):
+        state.permute(p)
+
+
+def reference_simplify(state, variant):
+    """Single-step combinations accepted only on strict rhombicity decrease."""
+    n = len(state.gram)
+    changed = True
+    while changed:
+        changed = False
+        # visit number i·n + j of the sweep's last accepted change
+        last = -1
+        g = state.gram
+        # row weights and r for pair_r, on the state as it stands
+        w = [sum(map(abs, row)) for row in g]
+        r = sum(w)
+        for i in range(n):
+            gi = g[i]
+            di = gi[i]
+            for j in range(n):
+                if i == j:
+                    continue
+                if j < i and last < j * n + i:
+                    # (j, i) was scored on this same state and rejected
+                    continue
+                x = gi[j]
+                if not x:
+                    continue
+                # the shorter row divides (ties to the lower index); the
+                # sign of g_uv = g_ij
+                dj = g[j][j]
+                u, v = (i, j) if di < dj or (di == dj and i < j) else (j, i)
+                s = 1 if x > 0 else -1
+                # the remainder v - s·u replaces row u or row v; in u's slot
+                # it is -s·(u - s·v), whose scalar products differ from
+                # those of u - s·v only in sign, so R is the same
+                r_u, r_v = state.pair_r(u, v, s, w, r)
+                if r_u < r:
+                    target, r = u, r_u
+                    state.replace(u, -s, v)
+                    if s > 0:
+                        state.negate(u)
+                elif r_v < r:
+                    target, r = v, r_v
+                    state.replace(v, -s, u)
+                else:
+                    continue
+                if variant is Variant.APPEND:
+                    state.permute([t for t in range(n) if t != target] + [target])
+                else:
+                    state.sort_by_norm()
+                last = i * n + j
+                changed = True
+                # the change rebuilt rows and may have moved every row
+                w = [sum(map(abs, row)) for row in g]
+                assert r == sum(w)
+                gi = g[i]
+                di = gi[i]

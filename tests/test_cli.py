@@ -72,6 +72,13 @@ def test_parse_not_square():
         parse_matrix_text("1 2 3\n4 5 6\n")
 
 
+def test_parse_not_square_blames_the_last_row():
+    # the header and the blank line count as lines, not as rows
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_text("# h\n\n1 2 3\n4 5 6\n")
+    assert (exc.value.line, exc.value.column) == (4, 1)
+
+
 def test_parse_empty():
     with pytest.raises(MatrixParseError):
         parse_matrix_text("# nothing here\n")

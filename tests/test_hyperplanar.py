@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cubify import (Basis, Variant, directional_reduction, dot, hyperplane_normal,
                     hyperplanar_pass, lattice_equal, metric_tensor, rhombicity,
@@ -13,8 +14,9 @@ from cubify.directional import _lagrange
 from cubify.exact import _adjugate
 from cubify.hyperplanar import _hyperplanar, _shear_coeffs
 
-from _helpers import random_basis, random_unimodular
+from _helpers import division_reduced, random_basis, random_unimodular
 from conftest import B_EXAMPLE
+from test_sweeps import bases
 
 
 def shear(isolated, sub):
@@ -241,3 +243,37 @@ def test_trace_normal_is_the_accepted_sublattice_normal(
             assert dot(rec.normal, rec.before) == dot(rec.normal, rec.after)
         records += len(trace)
     assert records >= 20
+
+
+@pytest.mark.parametrize("reduce_sublattice", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(rows=bases(st.integers(2, 8), {"small": st.integers(-30, 30)}),
+       variant=st.sampled_from(Variant))
+def test_an_accepted_screening_leaves_nothing_to_screen_again(
+        rows, variant, reduce_sublattice):
+    # after every accepted screening the sheared row is last; screening it
+    # again would round every dual coordinate to 0, and with sublattice
+    # reduction every pair of the other rows is at its division fixpoint,
+    # so their sweep would take no step either
+    n = len(rows)
+    accepted = []
+    replay = Candidate.replay
+
+    def checked(self, state, order):
+        replay(self, state, order)
+        accepted.append(self)
+        g = state.gram
+        if reduce_sublattice:
+            assert division_reduced([row[:-1] for row in g[:-1]])
+            again = Candidate(state, n - 1, state.r)
+            _lagrange(again, variant,
+                      [t for t in state.norm_order() if t != n - 1])
+            assert again.log == []
+        assert not any(_shear_coeffs(state.adj[-1], n - 1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Candidate, "replay", checked)
+        _hyperplanar(BasisState(rows), variant,
+                     reduce_sublattice=reduce_sublattice)
+    assume(accepted)
+

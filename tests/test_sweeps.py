@@ -11,8 +11,15 @@ once, at the end, where the plain loop moves them at every step, so its
 steps are compared by the rows they combine.  _hyperplanar scores each
 shear before it applies it, makes a Candidate for a pre-pass screening
 only once it is accepted, and reorders a Candidate only once it is
-accepted; it must end where the screening loop it replaced ends.  The
-counter tests pin the work saved in operation counts, not in seconds.
+accepted; it must end where the screening loop it replaced ends.
+
+A sweep also skips what the sweep before it settled on the state it left:
+_lagrange's confirming sweep tests only the pairs within the positions up
+to the last step's row visit, and _simplify's ends after the visit of the
+last accepted change.  Both must take the steps of the sweeps as they ran
+before (reference_lagrange and reference_simplify in _helpers), on states
+far from their fixpoint.  The counter tests pin the work saved in
+operation counts, not in seconds.
 """
 
 import pytest
@@ -25,18 +32,22 @@ from cubify.directional import _lagrange, _simplify
 from cubify.exact import _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
+from _helpers import (division_reduced, reference_lagrange,
+                      reference_simplify)
 from test_bit_identity import _het20_permuted
 
 SMALL = st.integers(-9, 9)
 BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
                 st.integers(10 ** 99, 10 ** 100 - 1))
 ENTRIES = {"small": SMALL, "big": BIG}
+DIGITS_50 = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                      st.integers(10 ** 49, 10 ** 50 - 1))
 
 
 @st.composite
-def bases(draw, dims=st.integers(1, 8)):
+def bases(draw, dims=st.integers(1, 8), entries=ENTRIES):
     n = draw(dims)
-    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    entry = entries[draw(st.sampled_from(sorted(entries)))]
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     assume(det(rows) != 0)
@@ -353,6 +364,49 @@ def test_simplify_takes_the_plain_loops_steps(rows, lagrange, variant):
     assert _full(new) == _full(plain)
 
 
+UNREDUCED = bases(st.integers(2, 9), {"small": SMALL, "50-digit": DIGITS_50})
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=UNREDUCED, variant=st.sampled_from(Variant), data=st.data())
+def test_lagrange_takes_the_reference_sweeps_steps(rows, variant, data):
+    # every row, or a drawn subset in a drawn sweep order
+    new, ref = _state_pair(rows)
+    assume(not division_reduced(new.gram))
+    n = len(rows)
+    order = None
+    if data.draw(st.booleans(), label="with order"):
+        order = data.draw(st.permutations(range(n)), label="order")
+        order = order[:data.draw(st.integers(2, n), label="m")]
+    orders = [None if order is None else order[:] for _ in range(2)]
+    _lagrange(new, variant, orders[0])
+    reference_lagrange(ref, variant, orders[1])
+    assert new.calls == ref.calls
+    assert (new.gram, new.trans) == (ref.gram, ref.trans)
+    assert orders[0] == orders[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=UNREDUCED, variant=st.sampled_from(Variant), data=st.data())
+def test_simplify_takes_the_reference_sweeps_steps(rows, variant, data):
+    # small entries as drawn; 50-digit ones divided first, since
+    # simplification alone is a subtractive Euclid there, and then moved
+    # off the fixpoint by a few drawn unit steps
+    n = len(rows)
+    state = BasisState(rows)
+    if max(abs(x) for row in rows for x in row) > 9:
+        reference_lagrange(state, Variant.INSERT)
+    for _ in range(data.draw(st.integers(0, 3), label="steps")):
+        idx, src = data.draw(st.permutations(range(n)), label="rows")[:2]
+        state.replace(idx, data.draw(st.sampled_from((1, -1)), label="k"),
+                      src)
+    assume(not division_reduced(state.gram))
+    new, ref = LoggedState(state.rows), LoggedState(state.rows)
+    _simplify(new, variant)
+    reference_simplify(ref, variant)
+    assert _full(new) == _full(ref)
+
+
 @pytest.mark.parametrize("reduce_sublattice", [True, False])
 @settings(max_examples=60, deadline=None)
 @given(rows=bases(st.integers(2, 7)), variant=st.sampled_from(Variant))
@@ -446,6 +500,127 @@ def test_a_reduced_state_tests_each_pair_once(monkeypatch, variant):
     assert state.trans == before.trans and state.gram == before.gram
 
 
+class _Tagged(int):
+    """A Gram entry that logs its place (row, column) when a sweep reads
+    it; at says where it stands."""
+
+    log = None
+
+
+class _Tested(_Tagged):
+    """Read by abs: _lagrange's fixpoint test."""
+
+    def __abs__(self):
+        _Tagged.log.append(self.at)
+        return int.__abs__(self)
+
+
+class _Visited(_Tagged):
+    """Read by truth: _simplify's check for a zero product, the first read
+    of a visit it scores."""
+
+    def __bool__(self):
+        _Tagged.log.append(self.at)
+        return int.__bool__(self)
+
+
+class _Retagging(BasisState):
+    """Tags every entry of its Gram matrix as an entry, after every row
+    operation, and logs at each replace how many reads came before it and
+    the sweep's position map (order, which _lagrange sweeps in place)."""
+
+    def __init__(self, rows, entry):
+        super().__init__(rows)
+        self.entry = entry
+        self.order = list(range(len(rows)))
+        self.replaces = []
+        self._tag()
+
+    def _tag(self):
+        # in place: the sweeps hold the Gram matrix and its rows
+        for a, row in enumerate(self.gram):
+            for b, x in enumerate(row):
+                row[b] = tagged = self.entry(x)
+                tagged.at = (a, b)
+
+    def replace(self, idx, k, src):
+        self.replaces.append((len(_Tagged.log), self.order[:]))
+        super().replace(idx, k, src)
+        self._tag()
+
+    def negate(self, idx):
+        super().negate(idx)
+        self._tag()
+
+    def permute(self, order):
+        super().permute(order)
+        self._tag()
+
+
+def _final_sweep(visits):
+    """The visit numbers _simplify's last sweep read, from those read after
+    the last change: the tail of the sweep that took it, then the last
+    sweep, which starts at visit 1, each in rising order."""
+    drops = [t for t in range(1, len(visits)) if visits[t] < visits[t - 1]]
+    return visits[drops[-1]:] if drops else visits
+
+
+def _after_the_last_step(sweep, rows, variant):
+    """The row visit L of a division run's last step, and the fixpoint
+    tests that came after it: the rest of that sweep, then the last."""
+    state = _Retagging(rows, _Tested)
+    _Tagged.log = []
+    sweep(state, variant, state.order)
+    reads, before = state.replaces[-1]
+    # the step's own test read g[p[L]][p[j]], p as it stood then
+    return before.index(_Tagged.log[reads - 1][0]), len(_Tagged.log) - reads
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_confirming_division_sweep_stays_below_the_last_step(
+        monkeypatch, variant):
+    # the sweep after the last step at row visit L tests the pairs (i, j)
+    # with i < j <= L, where the reference sweep tested all n·(n - 1)/2;
+    # the rest of the sweep that took the step is the same in both
+    n = 10
+    monkeypatch.setattr(_Tagged, "log", None)
+    last_visits = []
+    for seed in range(6):
+        rows = generate(GeneratorSpec("full", n, (0, 100), seed=seed)).rows
+        L, tests = _after_the_last_step(_lagrange, rows, variant)
+        ref_L, ref_tests = _after_the_last_step(reference_lagrange, rows,
+                                                variant)
+        assert L == ref_L
+        assert tests - L * (L + 1) // 2 == ref_tests - n * (n - 1) // 2
+        last_visits.append(L)
+    assert min(last_visits) < n - 1
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_simplify_sweep_ends_after_the_last_sweeps_last_change(
+        monkeypatch, variant):
+    # the last sweep reads every visit with no change yet, and so scores
+    # only (i, j) with i < j; none comes after the visit of the previous
+    # sweep's last accepted change
+    n = 10
+    stops = []
+    for seed in range(6):
+        rows = generate(GeneratorSpec("full", n, (0, 100), seed=seed)).rows
+        divided = BasisState(rows)
+        _lagrange(divided, Variant.INSERT)
+        state = _Retagging(divided.rows, _Visited)
+        monkeypatch.setattr(_Tagged, "log", [])
+        _simplify(state, variant)
+        visits = [i * n + j for i, j in _Tagged.log]
+        reads, _ = state.replaces[-1]
+        stop = visits[reads - 1]
+        final = _final_sweep(visits[reads:])
+        assert final and max(final) <= stop
+        assert all(i < j for i, j in (divmod(v, n) for v in final))
+        stops.append(stop)
+    assert min(stops) < n * n - n - 1
+
+
 def test_the_pre_pass_makes_a_candidate_only_for_an_accepted_shear(
         monkeypatch):
     # het20 as perfbench feeds it, matrix 0: most pre-pass screenings are
@@ -482,6 +657,70 @@ def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
     assert len(reorders) - len(on_adj) == len(accepted) > 0
     assert len(on_adj) <= len(accepted)
     assert len(screenings) > 2 * len(accepted)
+
+
+def _off(gram):
+    """The rows whose pair with the last row is off the division fixpoint."""
+    last = gram[-1]
+    return {t for t in range(len(gram) - 1)
+            if 2 * abs(last[t]) > min(gram[t][t], last[-1])}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
+    # after an accepted screening, a screening of row i on the same state
+    # makes a Candidate and sweeps only if a pair of the rows but i is off
+    # the division fixpoint: one (t, last row) with t in off, t != i.  It
+    # never screens the last row again.
+    events = []
+    screen = hyperplanar._shear_coeffs
+    init, replay = Candidate.__init__, Candidate.replay
+
+    def screening(arow, i):
+        events.append(("screen", i))
+        return screen(arow, i)
+
+    def made(self, *args):
+        events.append(("candidate",))
+        init(self, *args)
+
+    def sweeping(*args):
+        events.append(("sweep",))
+        _lagrange(*args)
+
+    def replayed(self, state, order):
+        replay(self, state, order)
+        events.append(("accepted", _off(state.gram)))
+
+    monkeypatch.setattr(hyperplanar, "_shear_coeffs", screening)
+    monkeypatch.setattr(hyperplanar, "_lagrange", sweeping)
+    monkeypatch.setattr(Candidate, "__init__", made)
+    monkeypatch.setattr(Candidate, "replay", replayed)
+    n = 12
+    for seed in range(4):
+        state = BasisState(generate(GeneratorSpec("full", n, (0, 100),
+                                                  seed=seed)))
+        events.append(("pass",))
+        _hyperplanar(state, variant)
+    in_place = swept = 0
+    for event in events:
+        if event[0] == "pass":
+            off, since = None, []
+        elif event[0] == "accepted":
+            off, since = event[1], []
+        elif event[0] == "screen":
+            i = event[1]
+            if off is not None and off <= {i}:
+                assert since == []
+                in_place += 1
+            else:
+                assert since == [("candidate",), ("sweep",)]
+                swept += 1
+            assert off is None or i != n - 1
+            since = []
+        else:
+            since.append(event)
+    assert in_place > 0 and swept > 0
 
 
 def test_a_pass_screens_in_the_states_norm_order(monkeypatch):
