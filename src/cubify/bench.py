@@ -45,7 +45,11 @@ class GeneratorSpec:
             raise ValueError("unknown family %r" % (self.family,))
         if not _is_int(self.dim) or self.dim < 2:
             raise ValueError("dim must be an integer of at least 2")
-        lo, hi = self.entry_range
+        try:
+            lo, hi = self.entry_range
+        except (TypeError, ValueError):
+            # not a pair: an int, None, or one or three entries
+            lo = hi = None
         if not (_is_int(lo) and _is_int(hi)) or lo >= hi:
             raise ValueError("entry range must be two increasing integers")
         if not _is_int(self.seed):

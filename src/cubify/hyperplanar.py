@@ -34,16 +34,22 @@ shear is scored with the rows where they stand.  Only an accepted
 screening applies its shear, to a Candidate, whose replay moves the
 state into screening order (the other rows, then x).
 
-An accepted screening leaves two screenings with nothing to do.  The
-sheared row, now last, is not screened again on the same state: its dual
-coordinates over the other rows are the old ones minus their roundings,
-all in [-1/2, 1/2], so each rounds to 0 (half to even) and the shear is
-the identity.  With sublattice reduction the other rows end on a sweep
-that took no step, so every pair without the last row is at its division
-fixpoint; one scan of the last row's pairs gives off, the rows whose pair
-with it is not.  A later screening of row i on that state with off
-within {i} would sweep rows of which no pair steps: it makes no Candidate
-and no sweep, and scores in place like a screening without the
+An accepted screening leaves the sheared row's screening with nothing to
+do.  That row, now last, is not screened again on the same state: its
+dual coordinates over the other rows are the old ones minus their
+roundings, all in [-1/2, 1/2], so each rounds to 0 (half to even) and the
+shear is the identity.
+
+With sublattice reduction the pass tracks off, the pairs (x, y), x < y,
+of the state's rows that are off the division fixpoint.  One scan of
+every pair gives it at the pass's start.  After an accepted screening the
+other rows have ended on a sweep that took no step, so every pair without
+the last row is at the fixpoint, and one scan of the last row's pairs
+gives it.  A rejected screening leaves the state, and off, as they were.
+A screening of row i hands the off pairs without row i to _lagrange,
+which, when they are few, steps from one to the next instead of sweeping.
+With none, the sweeps would take no step: the screening makes no
+Candidate and no sweep, and scores in place like a screening without the
 reduction, with the others in norm order.
 """
 
@@ -108,21 +114,22 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     that of its final gram.  It reads the state's r and norm_order() at
     its start and after each accepted screening (a rejected one leaves
     gram as it was); r is a local that each accepted screening's score
-    replaces, checked against gram once, at the end.  After an accepted
-    screening it skips the screenings that would change nothing (see the
-    module docstring): the sheared row's, and with sublattice reduction
-    the sweep of rows none of whose pairs steps.
+    replaces, checked against gram once, at the end.  It skips the work
+    that would change nothing (see the module docstring): after an
+    accepted screening the sheared row's screening, and with sublattice
+    reduction the sweep of rows none of whose pairs is off the fixpoint.
     """
-    n = len(state.gram)
+    g = state.gram
+    n = len(g)
     if n < 2:
         return
     adj = state.adjugate()
     current = state.r
     order = state.norm_order()
-    # after an accepted screening: the rows whose pair with the sheared,
-    # last row is off the division fixpoint (with sublattice reduction,
-    # every other pair is at it); before one, every row
-    off = set(range(n))
+    if reduce_sublattice:
+        # the pairs (x, y), x < y, off the division fixpoint
+        off = {(x, y) for x in range(n) for y in range(x + 1, n)
+               if 2 * abs(g[x][y]) > min(g[x][x], g[y][y])}
     # after an accepted screening, the last row is not screened again
     end = n
     i = 0
@@ -130,11 +137,13 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         # the other rows in row order, the rows a shear of row i combines
         others = [t for t in range(n) if t != i]
         rest = [t for t in order if t != i] if reduce_sublattice else others
-        if reduce_sublattice and not off <= {i}:
+        # the off pairs of the others: the pairs their sweeps would step
+        pairs = {q for q in off if i not in q} if reduce_sublattice else None
+        if pairs:
             # sweep the others in norm order on an unpermuted copy; rest
             # ends in the order the sweeps left them in
             cand = Candidate(state, i, current)
-            _lagrange(cand, lagrange_variant, rest)
+            _lagrange(cand, lagrange_variant, rest, off=pairs)
             gram, arow, r = cand.gram, cand.arow, cand.r
         else:
             # score the shear of row i where it stands: no pair of the
@@ -166,9 +175,10 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             # their roundings, in [-1/2, 1/2], and all round to 0
             end = n - 1
             if reduce_sublattice:
-                g = state.gram
+                # the others ended at the fixpoint: only the last row's
+                # pairs can be off it
                 last = g[-1]
-                off = {t for t in range(end)
+                off = {(t, end) for t in range(end)
                        if 2 * abs(last[t]) > min(g[t][t], last[-1])}
             i = 0
         else:

@@ -129,11 +129,17 @@ def shortest_norm_in_box(rows, box):
     return min(sum(x * x for x in v) for v in pair_combinations(rows, box))
 
 
+def off_pairs(gram, rows=None):
+    """The pairs (x, y), x < y, of rows (default: every row of gram) that
+    are off the division fixpoint."""
+    rows = sorted(range(len(gram)) if rows is None else rows)
+    return {(x, y) for a, x in enumerate(rows) for y in rows[a + 1:]
+            if 2 * abs(gram[x][y]) > min(gram[x][x], gram[y][y])}
+
+
 def division_reduced(gram):
     """Whether every pair of gram is at its division fixpoint."""
-    n = len(gram)
-    return all(2 * abs(gram[a][b]) <= min(gram[a][a], gram[b][b])
-               for a in range(n) for b in range(a + 1, n))
+    return not off_pairs(gram)
 
 
 # -- the sweeps before they ended early ------------------------------------

@@ -26,6 +26,11 @@ def test_spec_validation():
                 dict(seed=1.0), dict(seed="1"), dict(seed=False)]:
         with pytest.raises(ValueError):
             GeneratorSpec(**{"family": "full", "dim": 5, **bad})
+    # an entry range that is not a pair fails with the same message, not
+    # with an unpacking error
+    for bad in [5, None, (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="two increasing integers"):
+            GeneratorSpec("full", 3, bad)
 
 
 def test_generate_is_deterministic():

@@ -14,9 +14,12 @@ n = 10 draw under all 16 explicit option sets.  Three pin inputs on which
 the hyperplanar adjugate is carried across several passes: a full n = 20
 draw with entries in (0, 100), and full n = 8 and n = 12 draws with entries
 in (-10^50, 10^50); on the n = 12 draw the one adjugate solve takes over
-half of cubify's time.  A digest changes only when the reduction takes a
-different path, so a change here needs a stated reason, not an updated
-constant.
+half of cubify's time.  Two pin inputs with entries in (0, 100) on which
+screenings use the tracked off pairs most: on a full n = 24 draw most
+sublattice divisions jump between them instead of sweeping, and on a
+columnar n = 30 draw most screenings find none and divide nothing.  A
+digest changes only when the reduction takes a different path, so a
+change here needs a stated reason, not an updated constant.
 """
 
 import hashlib
@@ -62,6 +65,14 @@ CARRIED = {
                    "97d29fcd03556ad1198ab65fa29bf96f90ba8a1ec5c8191bc5e9ed6cdc1492e0"),
     "full-12-e50": (GeneratorSpec("full", 12, (-10 ** 50, 10 ** 50), seed=12),
                     "dc3e764f7f5ee5e9a1b3fe5d022c0fff2c1b734b0a7d845cb191314b15669d82"),
+}
+
+#: inputs on which screenings use the tracked off pairs most
+SUBLATTICE = {
+    "full-24": (GeneratorSpec("full", 24, (0, 100), seed=24),
+                "bcd93c58c56a4b8fda53fc2ec7f2ee75def8a235f2dc1a73e34c139fd89e9088"),
+    "columnar-30": (GeneratorSpec("columnar", 30, (0, 100), seed=30),
+                    "e3f27ddd989e5a2a9cb1d5f7f4ca3efac726a4bb39c646bc3abbe27135b524b6"),
 }
 
 #: full n = 10, entries in (-1000, 1000), seed 10, under every explicit
@@ -122,6 +133,12 @@ def test_dense_hyp_digest_is_pinned(i):
 @pytest.mark.parametrize("name", sorted(CARRIED))
 def test_carried_adjugate_digest_is_pinned(name):
     spec, digest = CARRIED[name]
+    assert _digest(generate(spec)) == digest
+
+
+@pytest.mark.parametrize("name", sorted(SUBLATTICE))
+def test_sublattice_division_digest_is_pinned(name):
+    spec, digest = SUBLATTICE[name]
     assert _digest(generate(spec)) == digest
 
 

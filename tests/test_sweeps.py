@@ -18,9 +18,15 @@ _lagrange's confirming sweep tests only the pairs within the positions up
 to the last step's row visit, and _simplify's ends after the visit of the
 last accepted change.  Both must take the steps of the sweeps as they ran
 before (reference_lagrange and reference_simplify in _helpers), on states
-far from their fixpoint.  The counter tests pin the work saved in
-operation counts, not in seconds.
+far from their fixpoint.  Handed the pairs that are off the fixpoint,
+_lagrange takes the same steps without sweeping: it jumps from one off
+pair to the one the sweeps would visit next, and tests only the replaced
+row's pairs again; the hyperplanar pass tracks those pairs and hands each
+screening its own.  The counter tests pin the work saved in operation
+counts, not in seconds.
 """
+
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,11 +34,11 @@ from hypothesis import assume, given, settings, strategies as st
 from cubify import GeneratorSpec, Variant, det, generate
 from cubify import _state, directional, hyperplanar
 from cubify._state import BasisState, Candidate, _reordered
-from cubify.directional import _lagrange, _simplify
+from cubify.directional import _lagrange, _simplify, _step_off_pairs
 from cubify.exact import _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
-from _helpers import (division_reduced, reference_lagrange,
+from _helpers import (division_reduced, off_pairs, reference_lagrange,
                       reference_simplify)
 from test_bit_identity import _het20_permuted
 
@@ -42,6 +48,8 @@ BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
 ENTRIES = {"small": SMALL, "big": BIG}
 DIGITS_50 = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
                       st.integers(10 ** 49, 10 ** 50 - 1))
+DIGITS_30 = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                      st.integers(10 ** 29, 10 ** 30 - 1))
 
 
 @st.composite
@@ -370,20 +378,40 @@ UNREDUCED = bases(st.integers(2, 9), {"small": SMALL, "50-digit": DIGITS_50})
 @settings(max_examples=150, deadline=None)
 @given(rows=UNREDUCED, variant=st.sampled_from(Variant), data=st.data())
 def test_lagrange_takes_the_reference_sweeps_steps(rows, variant, data):
-    # every row, or a drawn subset in a drawn sweep order
-    new, ref = _state_pair(rows)
-    assume(not division_reduced(new.gram))
+    # every row, or a drawn subset in a drawn sweep order; the state as
+    # drawn, or divided and moved off the fixpoint by a few drawn steps, so
+    # that few pairs are off it.  _lagrange runs without off and with the
+    # off pairs of the swept rows, a fresh scan; with an order, the jumps
+    # from off pair to off pair also run on their own, whatever off's size
     n = len(rows)
+    if data.draw(st.booleans(), label="few off"):
+        state = BasisState(rows)
+        reference_lagrange(state, Variant.INSERT)
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            idx, src = data.draw(st.permutations(range(n)), label="rows")[:2]
+            state.replace(idx, data.draw(st.sampled_from((1, -1, 2, -2)),
+                                         label="k"), src)
+        rows = state.rows
+    ref = LoggedState(rows)
+    assume(not division_reduced(ref.gram))
     order = None
     if data.draw(st.booleans(), label="with order"):
         order = data.draw(st.permutations(range(n)), label="order")
         order = order[:data.draw(st.integers(2, n), label="m")]
-    orders = [None if order is None else order[:] for _ in range(2)]
-    _lagrange(new, variant, orders[0])
-    reference_lagrange(ref, variant, orders[1])
-    assert new.calls == ref.calls
-    assert (new.gram, new.trans) == (ref.gram, ref.trans)
-    assert orders[0] == orders[1]
+    runs = [lambda s, p: _lagrange(s, variant, p),
+            lambda s, p: _lagrange(s, variant, p, off=off_pairs(s.gram, p))]
+    if order is not None:
+        runs.append(lambda s, p: _step_off_pairs(s, variant, p,
+                                                 off_pairs(s.gram, p)))
+    swept = None if order is None else order[:]
+    reference_lagrange(ref, variant, swept)
+    for run in runs:
+        new = LoggedState(rows)
+        p = None if order is None else order[:]
+        run(new, p)
+        assert new.calls == ref.calls
+        assert (new.gram, new.trans) == (ref.gram, ref.trans)
+        assert p == swept
 
 
 @settings(max_examples=150, deadline=None)
@@ -597,6 +625,69 @@ def test_a_confirming_division_sweep_stays_below_the_last_step(
 
 
 @pytest.mark.parametrize("variant", list(Variant))
+def test_a_division_from_off_pairs_tests_only_each_replaced_rows_pairs(
+        monkeypatch, variant):
+    # division-reduced full n = 12 draws moved off the fixpoint by three
+    # unit steps: handed the off pairs, _lagrange finds each step without
+    # a test and then tests the replaced row's pairs, n - 1 tests per step,
+    # where a sweep tests n·(n - 1)/2 pairs at least; handed no off pair,
+    # it tests nothing
+    n = 12
+    monkeypatch.setattr(_Tagged, "log", [])
+    steps = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        state = BasisState(generate(GeneratorSpec("full", n, (0, 100),
+                                                  seed=seed)))
+        _lagrange(state, Variant.INSERT)
+        for _ in range(3):
+            idx, src = rng.sample(range(n), 2)
+            state.replace(idx, rng.choice((1, -1)), src)
+        off = off_pairs(state.gram)
+        assert 0 < len(off) < n
+        ref, swept = BasisState(state.rows), list(range(n))
+        reference_lagrange(ref, variant, swept)
+        tagged = _Retagging(state.rows, _Tested)
+        _Tagged.log = []
+        _lagrange(tagged, variant, tagged.order, off=off)
+        starts = [reads for reads, _ in tagged.replaces]
+        assert starts and starts[0] == 0
+        for start, stop in zip(starts, starts[1:] + [len(_Tagged.log)]):
+            tests = _Tagged.log[start:stop]
+            assert len(tests) == n - 1
+            # one row against every other
+            assert len({a for a, _ in tests}) == 1
+            assert {a for a, _ in tests} | {b for _, b in tests} == set(
+                range(n))
+        assert (tagged.gram, tagged.trans, tagged.order) == (
+            ref.gram, ref.trans, swept)
+        steps += len(starts)
+        _Tagged.log = []
+        _lagrange(tagged, variant, tagged.order, off=set())
+        assert _Tagged.log == [] and len(tagged.replaces) == len(starts)
+    assert steps > 4
+
+
+def test_a_row_visit_begun_before_the_sweeps_first_step_keeps_its_range():
+    # one pair is off the fixpoint, rows 2 and 3.  The sweeps step it at
+    # visit (2, 3), and the remainder, now the shorter, takes position 2,
+    # where it is off with row 1 as well.  Row visit 2 began before the
+    # sweep's first step and covers only j > 2, so the next step is at
+    # (3, 2) in row visit 3, which covers every j; (2, 1) waits for the
+    # next sweep, as (1, 2)
+    rows = [[-2, -5, 4, 4], [5, 5, -2, 4], [-1, -2, -4, -1], [1, 2, 5, 0]]
+    new, ref = _state_pair(rows)
+    assert off_pairs(new.gram) == {(2, 3)}
+    p, swept = list(range(4)), list(range(4))
+    _step_off_pairs(new, Variant.INSERT, p, off_pairs(new.gram))
+    reference_lagrange(ref, Variant.INSERT, swept)
+    assert ref.calls[:3] == [("replace", 3, 1, 2), ("replace", 2, 2, 3),
+                             ("replace", 1, 3, 3)]
+    assert new.calls == ref.calls
+    assert (new.gram, new.trans, p) == (ref.gram, ref.trans, swept)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
 def test_a_simplify_sweep_ends_after_the_last_sweeps_last_change(
         monkeypatch, variant):
     # the last sweep reads every visit with no change yet, and so scores
@@ -659,19 +750,12 @@ def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
     assert len(screenings) > 2 * len(accepted)
 
 
-def _off(gram):
-    """The rows whose pair with the last row is off the division fixpoint."""
-    last = gram[-1]
-    return {t for t in range(len(gram) - 1)
-            if 2 * abs(last[t]) > min(gram[t][t], last[-1])}
-
-
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
-    # after an accepted screening, a screening of row i on the same state
-    # makes a Candidate and sweeps only if a pair of the rows but i is off
-    # the division fixpoint: one (t, last row) with t in off, t != i.  It
-    # never screens the last row again.
+    # a screening of row i makes a Candidate and sweeps exactly when a pair
+    # of the rows but i is off the division fixpoint of the state it
+    # screens: the pass's start, or the last accepted screening's result.
+    # After an accepted screening it never screens the last row again.
     events = []
     screen = hyperplanar._shear_coeffs
     init, replay = Candidate.__init__, Candidate.replay
@@ -684,13 +768,13 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
         events.append(("candidate",))
         init(self, *args)
 
-    def sweeping(*args):
+    def sweeping(*args, **kwargs):
         events.append(("sweep",))
-        _lagrange(*args)
+        _lagrange(*args, **kwargs)
 
     def replayed(self, state, order):
         replay(self, state, order)
-        events.append(("accepted", _off(state.gram)))
+        events.append(("accepted", off_pairs(state.gram)))
 
     monkeypatch.setattr(hyperplanar, "_shear_coeffs", screening)
     monkeypatch.setattr(hyperplanar, "_lagrange", sweeping)
@@ -700,27 +784,56 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
     for seed in range(4):
         state = BasisState(generate(GeneratorSpec("full", n, (0, 100),
                                                   seed=seed)))
-        events.append(("pass",))
+        events.append(("pass", off_pairs(state.gram)))
         _hyperplanar(state, variant)
     in_place = swept = 0
     for event in events:
-        if event[0] == "pass":
-            off, since = None, []
-        elif event[0] == "accepted":
+        if event[0] in ("pass", "accepted"):
             off, since = event[1], []
+            accepted = event[0] == "accepted"
         elif event[0] == "screen":
             i = event[1]
-            if off is not None and off <= {i}:
+            if all(i in pair for pair in off):
                 assert since == []
                 in_place += 1
             else:
                 assert since == [("candidate",), ("sweep",)]
                 swept += 1
-            assert off is None or i != n - 1
+            assert not accepted or i != n - 1
             since = []
         else:
             since.append(event)
     assert in_place > 0 and swept > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=bases(st.integers(2, 9), {"small": st.integers(-30, 30),
+                                      "30-digit": DIGITS_30}),
+       variant=st.sampled_from(Variant))
+def test_a_pass_hands_each_screening_the_off_pairs_of_its_state(rows,
+                                                                variant):
+    # at every screening of row i, the off pairs the pass hands _lagrange
+    # (none when it makes no Candidate) are those of a fresh scan of the
+    # state's Gram matrix over the rows but i
+    n = len(rows)
+    state = BasisState(rows)
+    handed = [set()]
+    inner, screen = hyperplanar._lagrange, hyperplanar._shear_coeffs
+
+    def sweeping(cand, variant, order=None, off=None):
+        handed[0] = set(off)
+        inner(cand, variant, order, off=off)
+
+    def screening(arow, i):
+        assert handed[0] == off_pairs(state.gram,
+                                      [t for t in range(n) if t != i])
+        handed[0] = set()
+        return screen(arow, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperplanar, "_lagrange", sweeping)
+        mp.setattr(hyperplanar, "_shear_coeffs", screening)
+        _hyperplanar(state, variant)
 
 
 def test_a_pass_screens_in_the_states_norm_order(monkeypatch):
@@ -735,13 +848,13 @@ def test_a_pass_screens_in_the_states_norm_order(monkeypatch):
     received = []
     inner = hyperplanar._lagrange
 
-    def recording(cand, variant, order=None):
+    def recording(cand, variant, order=None, off=None):
         g = cand.gram
         stable = sorted(range(len(g)), key=lambda t: g[t][t])
         received.append((order[:],
                          [t for t in descending_ties(cand) if t != cand.pos],
                          [t for t in stable if t != cand.pos]))
-        inner(cand, variant, order)
+        inner(cand, variant, order, off=off)
 
     monkeypatch.setattr(BasisState, "norm_order", descending_ties)
     monkeypatch.setattr(hyperplanar, "_lagrange", recording)
