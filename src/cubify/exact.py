@@ -244,43 +244,13 @@ def det(matrix) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _solve_fraction_free(a, b):
-    """Solve a·X = b over the integers: returns (d, nums) with X = nums / d.
-
-    a is n*n ints, b is n*m ints.  Bareiss elimination, then fraction-free
-    back substitution.  d is the last pivot, +-det(a), and positive whenever
-    a is positive definite; by Cramer's rule every d·X[i][c] is an integer,
-    so each division in the back substitution is exact.  Raises _Singular
-    when a has no inverse.
-    """
-    n = len(a)
-    if not n:
-        return 1, []
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    _eliminate(aug, n)
-    d = aug[n - 1][n - 1]
-    nums = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = aug[i]
-        piv = row[i]
-        out = []
-        for c in range(n, len(row)):
-            s = d * row[c]
-            for j in range(i + 1, n):
-                s -= row[j] * nums[j][c - n]
-            q, rem = divmod(s, piv)
-            assert rem == 0
-            out.append(q)
-        nums[i] = out
-    return d, nums
-
-
 def _adjugate(gram):
     """adj(G) = det(G)·G⁻¹ of a Gram matrix of independent rows, in integers.
 
     Solves G·X = I by fraction-free (Bareiss) elimination of [G | I] and
-    back substitution, as _solve_fraction_free does, with about 3/8 of its
-    multiplications, because three blocks are symmetric or triangular:
+    back substitution, with about 3/8 of the multiplications of a general
+    Bareiss solve of [G | I], because three blocks are symmetric or
+    triangular:
 
     - the trailing block of G after each step is symmetric (its entries
       are the minors of G on rows {0..k, i} and columns {0..k, j}), so
@@ -292,9 +262,9 @@ def _adjugate(gram):
       forms only the columns c <= i of row i and reads the rest from the
       rows below.
 
-    Every quotient is the one the general kernel forms, so each division
-    is exact (asserted).  G is positive definite, so every pivot, a
-    leading principal minor, is positive (asserted) and no row moves;
+    Every quotient is the one a general Bareiss solve forms, so each
+    division is exact (asserted).  G is positive definite, so every pivot,
+    a leading principal minor, is positive (asserted) and no row moves;
     the last pivot is det(G).
     """
     n = len(gram)
@@ -371,18 +341,13 @@ def hyperplane_normal(sub):
         if len(v) != n:
             raise DimensionMismatchError("mixed vector dimensions")
 
-    # complete the span with a unit row e_k; the first nonsingular
-    # completion A gives the normal as the last column of A⁻¹, since
-    # A·x = e_last makes x orthogonal to every spanning vector
-    rhs = [[0]] * (n - 1) + [[1]]
-    for k in range(n):
-        unit = tuple(int(j == k) for j in range(n))
-        try:
-            _, nums = _solve_fraction_free(vecs + [unit], rhs)
-        except _Singular:
-            continue
-        return _primitive([x[0] for x in nums])
-    raise DegenerateHyperplaneError("spanning vectors are linearly dependent")
+    # generalized cross product: p·v is ±det of the vectors with v appended
+    # as a row, expanded along that row, so p is orthogonal to every
+    # spanning vector and vanishes exactly when they are dependent
+    p = [(-1) ** j * det([v[:j] + v[j + 1:] for v in vecs]) for j in range(n)]
+    if not any(p):
+        raise DegenerateHyperplaneError("spanning vectors are linearly dependent")
+    return _primitive(p)
 
 
 def solve_in_sublattice(cols, target):
@@ -390,8 +355,9 @@ def solve_in_sublattice(cols, target):
 
     cols is an N x k integer matrix (k independent columns), target a length-N
     vector of ints or Fractions that must lie in the span.  Solves the normal
-    equations (colsT cols) x = colsT target exactly and returns k Fractions;
-    raises ValueError when cols · x != target, i.e. target is off the span.
+    equations (colsT cols) x = colsT target exactly, by Cramer's rule, and
+    returns k Fractions; raises ValueError when cols · x != target, i.e.
+    target is off the span.
     """
     rows = [tuple(_int(x) for x in r) for r in cols]
     n = len(rows)
@@ -406,23 +372,21 @@ def solve_in_sublattice(cols, target):
                                      % (len(target), n))
     t = [Fraction(x) for x in target]
 
-    gram = [[sum(rows[i][a] * rows[i][b] for i in range(n)) for b in range(k)]
-            for a in range(k)]
+    columns = list(zip(*rows))
+    gram = _gram(columns)
+    d = det(gram)
+    if d == 0:
+        raise DegenerateSublatticeError("columns are linearly dependent")
     lden = lcm(*(f.denominator for f in t))
     t_int = [int(f * lden) for f in t]
-    rhs = [[sum(rows[i][a] * t_int[i] for i in range(n))] for a in range(k)]
-    try:
-        d, nums = _solve_fraction_free(gram, rhs)
-    except _Singular:
-        raise DegenerateSublatticeError("columns are linearly dependent") from None
-    if any(sum(map(operator.mul, row, (x[0] for x in nums))) != d * ti
+    rhs = [sum(map(operator.mul, c, t_int)) for c in columns]
+    # x[a]·d is det(G) with column a replaced by colsT·t, and G is
+    # symmetric, so with row a replaced
+    nums = [det(gram[:a] + [rhs] + gram[a + 1:]) for a in range(k)]
+    if any(sum(map(operator.mul, row, nums)) != d * ti
            for row, ti in zip(rows, t_int)):
         raise ValueError("target is not in the column span")
-    return tuple(Fraction(x[0], d * lden) for x in nums)
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
+    return tuple(Fraction(x, d * lden) for x in nums)
 
 
 def _matmul(a, b):
@@ -434,7 +398,8 @@ def lattice_equal(a, b):
     """Whether two bases generate the same lattice.
 
     Returns (True, Z) with an integer unimodular Z such that a = Z·b, or
-    (False, None).  b must be nonsingular.
+    (False, None).  b must be nonsingular.  Z is read off the adjugate of
+    b·bT, and every True verdict is certified by Z·b == a.
     """
     ar = _as_rows(a)
     br = _as_rows(b)
@@ -442,13 +407,18 @@ def lattice_equal(a, b):
         raise DimensionMismatchError("empty basis")
     if len(ar) != len(br) or any(len(r) != len(br[0]) for r in ar):
         raise DimensionMismatchError("bases of different shapes")
-    if det(br) == 0:
+    d = det(br)
+    if d == 0:
         raise SingularBasisError("second basis is singular")
-    # a = Z·b  <=>  bT · ZT = aT; bT is invertible after the det check
-    d, nums = _solve_fraction_free(_transpose(br), _transpose(ar))
+    # Z = a·b⁻¹ = a·bT·adj(b·bT) / det(b·bT), and det(b·bT) = det(b)²
+    d *= d
+    abt = [[sum(map(operator.mul, u, v)) for v in br] for u in ar]
+    nums = _matmul(abt, _adjugate(_gram(br)))
     if any(x % d for row in nums for x in row):
         return False, None
-    z = _transpose([[x // d for x in row] for row in nums])
+    z = [[x // d for x in row] for row in nums]
     if abs(det(z)) != 1:
         return False, None
-    return True, tuple(tuple(r) for r in z)
+    if _matmul(z, br) != [list(r) for r in ar]:
+        raise AssertionError("change of basis does not map b onto a")
+    return True, tuple(map(tuple, z))

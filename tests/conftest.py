@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 # the worked example threaded through most module docs: R 126 -> 10, S 78 -> 8
@@ -19,3 +21,10 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src/ ahead of PYTHONPATH;
+    # name the package the run actually tests
+    import cubify
+    return "cubify imported from %s" % os.path.dirname(cubify.__file__)

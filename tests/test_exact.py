@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,8 +12,7 @@ from cubify import (Basis, DegenerateHyperplaneError, DegenerateSublatticeError,
                     hyperplane_normal, lattice_equal, metric_tensor,
                     nearest_int, norm_sum, rhombicity, solve_in_sublattice)
 from cubify._state import BasisState
-from cubify.exact import (_adjugate, _gram, _matmul, _round_ratio, _Singular,
-                          _solve_fraction_free)
+from cubify.exact import _adjugate, _gram, _matmul, _round_ratio
 
 from conftest import B_EXAMPLE, B_EXAMPLE_REDUCED
 
@@ -163,9 +163,12 @@ def test_hyperplane_normal_random_orthogonality():
     from math import gcd
     rng = random.Random(23)
     done = 0
-    while done < 120:
+    while done < 240:
+        # entries up to 9, then up to 40 digits
+        bound = 9 if done < 120 else 10 ** 40
         n = rng.randrange(2, 8)
-        sub = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+        sub = [[rng.randint(-bound, bound) for _ in range(n)]
+               for _ in range(n - 1)]
         try:
             p = hyperplane_normal(sub)
         except DegenerateHyperplaneError:
@@ -207,9 +210,12 @@ def test_solve_in_sublattice_degenerate():
 def test_solve_in_sublattice_round_trip():
     rng = random.Random(31)
     done = 0
-    while done < 60:
+    while done < 120:
+        # entries up to 8, then up to 40 digits
+        bound = 8 if done < 60 else 10 ** 40
         n = rng.randrange(2, 7)
-        vecs = [[rng.randint(-8, 8) for _ in range(n)] for _ in range(n - 1)]
+        vecs = [[rng.randint(-bound, bound) for _ in range(n)]
+                for _ in range(n - 1)]
         cols = [[v[i] for v in vecs] for i in range(n)]
         coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 6))
                   for _ in range(n - 1)]
@@ -247,33 +253,16 @@ def test_det_against_cofactor_expansion():
         n = rng.randrange(1, 6)
         m = [[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)]
         assert det(m) == cofactor_det(m)
-
-
-def test_solve_fraction_free_with_row_swaps():
     # sparse draws often put a zero on the diagonal, forcing pivot swaps
     rng = random.Random(43)
-    solved = 0
-    while solved < 60:
+    nonsingular = 0
+    while nonsingular < 60:
         n = rng.randrange(1, 6)
-        a = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+        m = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
              for _ in range(n)]
-        b = [[rng.randint(-9, 9) for _ in range(2)] for _ in range(n)]
-        if det(a) == 0:
-            with pytest.raises(_Singular):
-                _solve_fraction_free(a, b)
-            continue
-        d, nums = _solve_fraction_free(a, b)
-        assert abs(d) == abs(det(a))
-        for i in range(n):
-            for c in range(2):
-                assert sum(a[i][j] * nums[j][c] for j in range(n)) == d * b[i][c]
-        solved += 1
-
-
-def _general_adjugate(gram):
-    n = len(gram)
-    return _solve_fraction_free(
-        gram, [[int(i == j) for j in range(n)] for i in range(n)])[1]
+        d = det(m)
+        assert d == cofactor_det(m)
+        nonsingular += d != 0
 
 
 ADJUGATE_ENTRIES = {"up to 100": st.integers(-100, 100),
@@ -284,14 +273,13 @@ ADJUGATE_ENTRIES = {"up to 100": st.integers(-100, 100),
 @given(data=st.data(), n=st.integers(1, 12),
        entries=st.sampled_from(sorted(ADJUGATE_ENTRIES)))
 def test_adjugate_matches_the_general_solve(data, n, entries):
-    # the symmetric kernel is the oracle of the carried-adjugate tests;
-    # this ties it to the general one
+    # the symmetric kernel is the oracle of the carried-adjugate tests; a
+    # general solve of G·X = det(G)·I has one answer for a nonsingular G
     row = st.lists(ADJUGATE_ENTRIES[entries], min_size=n, max_size=n)
     rows = data.draw(st.lists(row, min_size=n, max_size=n))
     assume(det(rows) != 0)
     gram = _gram(rows)
     adj = _adjugate(gram)
-    assert adj == _general_adjugate(gram)
     d = det(gram)
     assert _matmul(gram, adj) == [[d * (i == j) for j in range(n)]
                                   for i in range(n)]
@@ -303,7 +291,7 @@ def test_adjugate_matches_the_general_solve(data, n, entries):
     ([[5, -2], [-2, 1]], [[1, 2], [2, 5]]),
 ])
 def test_adjugate_small_cases(gram, adj):
-    assert _adjugate(gram) == adj == _general_adjugate(gram)
+    assert _adjugate(gram) == adj
 
 
 @pytest.mark.parametrize("gram", [[[1, 2], [2, 1]], [[0, 1], [1, 0]],
@@ -399,6 +387,57 @@ def test_lattice_equal_decides_by_the_change_of_basis(n, entries, data):
     last = [sum(c * br[j] for c, br in zip(coeffs, b)) for j in range(n)]
     with pytest.raises(SingularBasisError):
         lattice_equal(a, b[:-1] + [last])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 6), entries=st.sampled_from(sorted(ENTRIES)),
+       data=st.data())
+def test_the_geometry_helpers_do_not_trust_the_adjugate_kernel(n, entries,
+                                                               data):
+    row = st.lists(ENTRIES[entries], min_size=n, max_size=n)
+    b = data.draw(st.lists(row, min_size=n, max_size=n), label="b")
+    assume(det(b) != 0)
+    z = data.draw(unimodular(n), label="z")
+    a = _matmul(z, b)
+    normal = hyperplane_normal(b[:-1])
+    cols = [list(c) for c in zip(*b[:-1])]
+    halves = data.draw(st.lists(st.integers(-5, 5), min_size=n - 1,
+                                max_size=n - 1), label="2·coordinates")
+    coords = tuple(Fraction(h, 2) for h in halves)
+    target = [sum(c * x for c, x in zip(coords, row)) for row in cols]
+    assert solve_in_sublattice(cols, target) == coords
+
+    # each patch replaces cubify.exact._adjugate; _adjugate here is still
+    # the real kernel
+    # columns 0 and 1 swapped: Z·P for the swap P, integral and
+    # unimodular, so only the certificate Z·b == a can catch it
+    def swapped(gram):
+        return [[r[1], r[0]] + r[2:] for r in _adjugate(gram)]
+
+    # one entry off: Z may come out integral, never certified wrongly
+    def nudged(gram):
+        return [[x + (i == j == 0) for j, x in enumerate(r)]
+                for i, r in enumerate(_adjugate(gram))]
+
+    with mock.patch("cubify.exact._adjugate", swapped):
+        with pytest.raises(AssertionError):
+            lattice_equal(a, b)
+    with mock.patch("cubify.exact._adjugate", nudged):
+        try:
+            ok, got = lattice_equal(a, b)
+        except AssertionError:
+            pass
+        else:
+            assert not ok or _matmul(got, b) == a
+
+    def broken(gram):
+        raise RuntimeError("adjugate kernel called")
+
+    # the shear kernel's oracle is built on these two helpers, so neither
+    # may call the kernel it checks
+    with mock.patch("cubify.exact._adjugate", broken):
+        assert hyperplane_normal(b[:-1]) == normal
+        assert solve_in_sublattice(cols, target) == coords
 
 
 def test_basis_validation():

@@ -19,7 +19,7 @@ from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
 from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
-from cubify.exact import _adjugate, _round_ratio, _solve_fraction_free
+from cubify.exact import _adjugate, _round_ratio
 from cubify.hyperplanar import _shear_coeffs, _sheared_r
 
 SMALL = st.integers(-20, 20)
@@ -91,16 +91,15 @@ def test_kernel_reads_a_row_in_place(rows, data):
 def test_solve_denominator_is_the_positive_gram_determinant(rows):
     m = len(rows) - 1
     gram = metric_tensor(rows)
-    d, nums = _solve_fraction_free(sub_gram(gram, m),
-                                   [[-gram[t][m]] for t in range(m)])
-    assert d == det(sub_gram(gram, m)) > 0
-    # nums / d solves G_sub·y = -g_x exactly
-    for a in range(m):
-        assert sum(gram[a][b] * nums[b][0] for b in range(m)) == -d * gram[a][m]
-    # row m of the adjugate holds the same numerators over the same d
+    # row m of the adjugate: the denominator, then its numerators
     adj = _adjugate(gram)
-    assert adj[m][m] == d
-    assert adj[m][:m] == [row[0] for row in nums]
+    d = adj[m][m]
+    assert d == det(sub_gram(gram, m)) > 0
+    # adj[m][:m] / d solves G_sub·y = -g_x exactly, and G_sub is
+    # nonsingular, so no other numerators do
+    y = adj[m][:m]
+    for a in range(m):
+        assert sum(gram[a][b] * y[b] for b in range(m)) == -d * gram[a][m]
 
 
 @pytest.mark.parametrize("odd, expected", [(1, 0), (-1, 0), (3, -2), (-3, 2)])
