@@ -2,36 +2,43 @@
 
 Matrix files are plain text: one row per line, whitespace-separated signed
 decimal integers, blank lines and lines starting with '#' ignored.  All JSON
-output carries {"schema": "cubify-report/1"} and serializes integers beyond
-the 53-bit safe range as decimal strings so consumers in double-precision
-JSON land never lose digits.
+output carries {"schema": "cubify-report/1"}, validates against the schema
+cubify-report-1.schema.json shipped beside this module, and serializes
+integers beyond the 53-bit safe range as decimal strings so consumers in
+double-precision JSON land never lose digits.  verify takes exactly the
+reduce documents the schema accepts whose integers fit the digit limit.
 
-Exit codes: 0 success, 1 parse error or a file that cannot be read or
-written (including non-UTF-8 text and JSON nested too deeply to load) or
-an output integer longer than the interpreter's int-to-str digit limit,
-2 singular input (or argparse usage error), 3 generation failure,
-4 verification failure.
+Exit codes: 0 success, 1 parse error, a file that cannot be read or
+written (non-UTF-8 text, and JSON nested too deeply or holding an integer
+literal past the interpreter's int-to-str digit limit, included) or an
+output integer past that limit, 2 singular input (or argparse usage
+error), 3 generation failure, 4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import re
+import reprlib
 import sys
 
 from .bench import (ALGORITHMS, FAMILIES, LLL_ALPHA, BatteryVerificationError,
                     GenerationError, GeneratorSpec, measure, run_battery)
 from .cubifier import (LARGE_DIM, CubifyOptions, MatrixClass, ReductionReport,
-                       _is_int, classify, cubify, default_options,
-                       verify_problems)
+                       classify, cubify, default_options, verify_problems)
 from .directional import Variant
 from .exact import Basis, SingularBasisError
 
 SCHEMA = "cubify-report/1"
+#: the report format: a draft-07 JSON Schema that every JSON document
+#: validates against; verify reads it at the first report, not at import
+SCHEMA_PATH = os.path.join(os.path.dirname(__file__),
+                           "cubify-report-1.schema.json")
 _SAFE = 2 ** 53 - 1
 
 
@@ -107,38 +114,6 @@ def _jint(v: int):
     return v if -_SAFE <= v <= _SAFE else str(v)
 
 
-#: the schema's patterns, matched as draft-07 matches them: by search, so
-#: that "$" also matches before a final newline ("12\n" is a bigint)
-_BIGINT = re.compile(r"^-?[0-9]+$")
-
-
-def _integral(v):
-    """int(v) for a float with no fractional part, else v unchanged.
-
-    Draft-07's "integer" type accepts 3.0, so every report value the schema
-    types integer or bigint is read through here.
-    """
-    return int(v) if isinstance(v, float) and v.is_integer() else v
-
-
-def _unjint(v) -> int:
-    """Inverse of _jint; accepts exactly the schema's bigint, else ValueError."""
-    v = _integral(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, str) and _BIGINT.search(v):
-        return int(v)
-    raise ValueError("not an integer or decimal string: %r" % (v,))
-
-
-def _jmatrix(m):
-    return [[_jint(x) for x in row] for row in m]
-
-
-def _unjmatrix(m):
-    return tuple(tuple(_unjint(x) for x in row) for row in m)
-
-
 def _options_doc(opts: CubifyOptions) -> dict:
     return {k: v.value if isinstance(v, Variant) else v
             for k, v in dataclasses.asdict(opts).items()}
@@ -168,85 +143,109 @@ def report_document(report: ReductionReport, basis, path=None) -> dict:
         "r_history": [_jint(r) for r in report.r_history],
         "pre_pass_applied": report.pre_pass_applied,
         "max_cycles_exhausted": report.max_cycles_exhausted,
-        "transform": _jmatrix(report.transform),
+        "transform": [[_jint(x) for x in row] for row in report.transform],
         "timings": {k: float(v) for k, v in report.timings.items()},
         "verified": True,
     }
 
 
-#: keys the schema's reduce document and its options object require;
-#: checked by hand because the package has no runtime dependencies
-REDUCE_KEYS = ("schema", "command", "input", "classification", "auto",
-               "options", "r_in", "r_out", "s_in", "s_out", "cycles",
-               "r_history", "pre_pass_applied", "max_cycles_exhausted",
-               "transform", "timings", "verified")
-OPTION_KEYS = tuple(f.name for f in dataclasses.fields(CubifyOptions))
+@functools.cache
+def _schema() -> dict:
+    with open(SCHEMA_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
 
-#: the reduce document's values the schema types integer, as dotted paths
-#: (the bigints are read by _unjint)
-_INTEGER_PATHS = ("cycles", "input.dim", "options.method", "options.max_cycles")
 
-_SHA256 = re.compile(r"^[0-9a-f]{64}$")
-_BOOLEAN = (lambda v: isinstance(v, bool), "a boolean")
+#: each type the schema names: what JSON loads it as, and how to say it
+_TYPES = {"object": (dict, "a JSON object"), "array": (list, "an array"),
+          "string": (str, "a string"), "boolean": (bool, "a boolean"),
+          "integer": (int, "an integer"), "number": ((int, float), "a number")}
 
-#: what the schema asks of the report values kept as read (options and the
-#: bigints check their own): key -> (test, what the message expects)
-_TYPED_KEYS = dict(
-    cycles=(lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    input=(lambda v: isinstance(v, dict) and isinstance(v.get("sha256"), str)
-           and _SHA256.search(v["sha256"]) and _is_int(v.get("dim"))
-           and v["dim"] >= 1 and isinstance(v.get("path", ""), str),
-           "an object with a sha256 digest and a positive dim"),
-    options=(lambda v: isinstance(v, dict), "an object"),
-    auto=_BOOLEAN, pre_pass_applied=_BOOLEAN, max_cycles_exhausted=_BOOLEAN,
-    verified=_BOOLEAN, r_history=(lambda v: isinstance(v, list), "an array"),
-    transform=(lambda v: isinstance(v, list) and v and all(
-        isinstance(r, list) and r for r in v), "a non-empty matrix"),
-    timings=(lambda v: isinstance(v, dict) and all(
-        _is_int(t) or isinstance(t, float) for t in v.values()),
-        "an object of numbers"))
+
+def _has_type(v, name) -> bool:
+    if name == "integer" and isinstance(v, float):
+        return v.is_integer()       # draft-07's integer takes 3.0
+    # only "boolean" takes a bool
+    return (isinstance(v, _TYPES[name][0])
+            and isinstance(v, bool) == (name == "boolean"))
+
+
+#: the draft-07 keywords that test a value itself: whether v passes the
+#: keyword's argument (a keyword passes a value of a type it does not test)
+_TESTS = {
+    "type": _has_type,
+    "enum": lambda v, members: any(_TESTS["const"](v, m) for m in members),
+    # draft-07 equality with a scalar: true is not 1, and 1.0 is 1
+    "const": lambda v, c: v == c and isinstance(v, bool) == isinstance(c, bool),
+    "minimum": lambda v, low: not _has_type(v, "number") or v >= low,
+    "pattern": lambda v, p: not isinstance(v, str) or re.search(p, v),
+    "minItems": lambda v, n: not isinstance(v, list) or len(v) >= n,
+    "maxItems": lambda v, n: not isinstance(v, list) or len(v) <= n,
+    "oneOf": lambda v, fs: [_schema_error(v, f) for f in fs].count(None) == 1,
+}
+#: every keyword _schema_error reads; "definitions" holds what "$ref" names
+KEYWORDS = ("$ref", *_TESTS, "items", "required", "properties",
+            "additionalProperties")
+
+
+def _schema_error(v, schema, where="report"):
+    """Why v, named where, fails schema (a part of the shipped one), or None.
+
+    Reads KEYWORDS as draft-07 does: "pattern" matches by search, so "12\\n"
+    is a bigint ("$" also matches before a final newline).
+    """
+    if "$ref" in schema:        # draft-07 ignores the keywords beside it
+        target = _schema()
+        for key in schema["$ref"].split("/")[1:]:
+            target = target[key]
+        return _schema_error(v, target, where)
+    for key, passes in _TESTS.items():
+        if key in schema and not passes(v, schema[key]):
+            fault = ("not " + _TYPES[schema[key]][1] if key == "type"
+                     else "failing %s %s" % (key, json.dumps(schema[key])))
+            return "%s is %s, %s" % (where, reprlib.repr(v), fault)
+    if isinstance(v, list) and "items" in schema:
+        for i, x in enumerate(v):
+            error = _schema_error(x, schema["items"], "%s[%d]" % (where, i))
+            if error:
+                return error
+    if isinstance(v, dict):
+        missing = [k for k in schema.get("required", ()) if k not in v]
+        if missing:
+            return "%s lacks %s" % (where, ", ".join(missing))
+        known = schema.get("properties", {})
+        for k, x in v.items():
+            sub = known.get(k, schema.get("additionalProperties"))
+            error = sub and _schema_error(x, sub, "%s.%s" % (where, k))
+            if error:
+                return error
+    return None
 
 
 def report_from_document(doc) -> ReductionReport:
     """Rebuild a reduction report from a reduce command's JSON document.
 
-    Raises ValueError unless doc is a cubify-report/1 reduce document with
-    every required key; nothing missing is filled in with a default.
+    Raises ValueError, naming a fault, unless the schema accepts doc, its
+    command is "reduce" and its integers fit the int-to-str digit limit.
     """
-    if not isinstance(doc, dict):
-        raise ValueError("report is not a JSON object")
-    if doc.get("schema") != SCHEMA:
-        raise ValueError("schema is %r, expected %r"
-                         % (doc.get("schema"), SCHEMA))
-    if doc.get("command") != "reduce":
-        raise ValueError("command is %r, expected 'reduce'"
-                         % (doc.get("command"),))
-    missing = [k for k in REDUCE_KEYS if k not in doc]
-    opts = doc.get("options")
-    if isinstance(opts, dict):
-        missing += ["options." + k for k in OPTION_KEYS if k not in opts]
-    if missing:
-        raise ValueError("missing required keys: " + ", ".join(missing))
-    doc = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
-    for path in _INTEGER_PATHS:
-        outer, _, key = path.rpartition(".")
-        owner = doc[outer] if outer else doc
-        if isinstance(owner, dict) and key in owner:
-            owner[key] = _integral(owner[key])
+    error = _schema_error(doc, _schema()["definitions"]["reduce"])
+    if error:
+        raise ValueError(error)
+    # int() reads each value the schema types integer or bigint
     opts = doc["options"]
-    for key, (valid, name) in _TYPED_KEYS.items():
-        if not valid(doc[key]):
-            raise ValueError("%s is %r, expected %s" % (key, doc[key], name))
     return ReductionReport(
-        r_in=_unjint(doc["r_in"]), r_out=_unjint(doc["r_out"]),
-        s_in=_unjint(doc["s_in"]), s_out=_unjint(doc["s_out"]),
-        cycles=doc["cycles"],
+        r_in=int(doc["r_in"]), r_out=int(doc["r_out"]),
+        s_in=int(doc["s_in"]), s_out=int(doc["s_out"]),
+        cycles=int(doc["cycles"]),
         matrix_class=MatrixClass(doc["classification"]),
-        options=CubifyOptions(**{k: opts[k] for k in OPTION_KEYS}),
+        options=CubifyOptions(
+            method=int(opts["method"]), lagrange=opts["lagrange"],
+            simplification=opts["simplification"],
+            pre_hyperplanar=opts["pre_hyperplanar"],
+            max_cycles=int(opts["max_cycles"])),
         auto=doc["auto"],
-        transform=_unjmatrix(doc["transform"]),
+        transform=tuple(tuple(map(int, row)) for row in doc["transform"]),
         timings=doc["timings"],
-        r_history=[_unjint(r) for r in doc["r_history"]],
+        r_history=[int(r) for r in doc["r_history"]],
         pre_pass_applied=doc["pre_pass_applied"],
         max_cycles_exhausted=doc["max_cycles_exhausted"])
 
@@ -376,14 +375,14 @@ def cmd_verify(args) -> int:
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError,
-            RecursionError) as exc:
-        # the decoder recurses once per nesting level
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON or UTF-8, or an integer literal past the
+        # int-to-str digit limit; the decoder recurses once per nesting level
         raise MatrixParseError("cannot read report %s: %s" % (args.report, exc)) \
             from None
     try:
         report = report_from_document(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise MatrixParseError("malformed report %s: %s" % (args.report, exc)) \
             from None
     problems = verify_problems(original, reduced, report)

@@ -1,9 +1,13 @@
 """CLI end to end: parsing, JSON documents, exit codes."""
 
 import argparse
+import contextlib
 import copy
+import io
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import jsonschema
@@ -13,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import B_EXAMPLE
 import cubify.bench as bench
 from cubify import ALGORITHMS, Basis, Variant, metric_tensor, rhombicity
-from cubify.cli import (OPTION_KEYS, REDUCE_KEYS, MatrixParseError, _jint,
-                        _unjint, build_parser, format_matrix, load_matrix,
-                        main, matrix_digest, parse_matrix_text,
+from cubify.cli import (KEYWORDS, SCHEMA_PATH, MatrixParseError, _TYPES,
+                        _jint, _schema_error, build_parser, format_matrix,
+                        load_matrix, main, matrix_digest, parse_matrix_text,
                         report_document, report_from_document)
 from cubify.cubifier import LARGE_DIM, cubify
 
-SCHEMA_PATH = Path(__file__).parent.parent / "schemas" / "cubify-report-1.schema.json"
-SCHEMA = json.loads(SCHEMA_PATH.read_text())
+SCHEMA = json.loads(Path(SCHEMA_PATH).read_text())
 
 
 def check_schema(doc):
@@ -121,7 +124,7 @@ def test_jint_policy():
     assert _jint(safe + 1) == str(safe + 1)
     assert _jint(-(safe + 1)) == str(-(safe + 1))
     for v in (0, 7, safe, safe + 1, -(safe + 123456)):
-        assert _unjint(_jint(v)) == v
+        assert int(json.loads(json.dumps(_jint(v)))) == v
 
 
 def test_report_document_round_trip(tmp_path):
@@ -460,10 +463,18 @@ def test_verify_rejects_a_report_nested_too_deeply(tmp_path, capsys):
     assert err.startswith("error: cannot read report") and err.count("\n") == 1
 
 
-def test_required_keys_match_the_schema():
-    reduce_doc = SCHEMA["definitions"]["reduce"]
-    assert set(REDUCE_KEYS) == set(reduce_doc["required"])
-    assert set(OPTION_KEYS) == set(SCHEMA["definitions"]["options"]["required"])
+def test_verify_rejects_a_report_with_an_integer_past_the_digit_limit(
+        tmp_path, capsys):
+    # json.load raises a plain ValueError for a literal past the
+    # interpreter's int-to-str digit limit (4300 digits by default)
+    in_path, out_path, rep_path = run_reduce_to_files(tmp_path, capsys)
+    doc = json.loads(Path(rep_path).read_text())
+    text = json.dumps({**doc, "cycles": 0})
+    Path(rep_path).write_text(text.replace('"cycles": 0', '"cycles": '
+                                           + "1" * 5000))
+    assert main(["verify", in_path, out_path, rep_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report") and err.count("\n") == 1
 
 
 def _verify_edited_report(tmp_path, capsys, edit):
@@ -506,10 +517,13 @@ def test_verify_rejects_non_object_report(tmp_path, capsys):
     assert "not a JSON object" in cap.err
 
 
-@pytest.mark.parametrize("key, value", [("r_in", [1]), ("r_in", 1.5),
-                                        ("r_in", True), ("r_in", "1_000"),
-                                        ("cycles", None)])
+@pytest.mark.parametrize("key, value", [
+    ("r_in", [1]), ("r_in", 1.5), ("r_in", True), ("r_in", "1_000"),
+    ("cycles", None), ("r_in", False), ("r_in", None), ("r_in", "+1"),
+    ("r_in", " 1"), ("r_in", "\u0661"), ("r_in", "1\n\n")])
 def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
+    # a bigint string is ASCII digits after an optional "-", and "$" in
+    # its pattern matches before one final newline only
     code, cap = _verify_edited_report(tmp_path, capsys,
                                       lambda d: {**d, key: value})
     assert code == 1
@@ -522,7 +536,7 @@ def test_verify_rejects_a_non_integer_field(tmp_path, capsys, key, value):
     ("max_cycles_exhausted", None), ("timings", [1]), ("verified", "yes"),
     ("input", 5), ("input", {"sha256": "zz", "dim": 0}), ("input.path", 5),
     ("timings", {"total": "fast"}), ("transform", []), ("transform", [[]]),
-    ("transform", ["12"])])
+    ("transform", ["12"]), ("cycles", -1), ("input.dim", 0)])
 def test_verify_rejects_a_field_the_schema_rejects(tmp_path, capsys, key, value):
     def edit(doc):
         outer, _, inner = key.partition(".")
@@ -539,17 +553,25 @@ def test_verify_rejects_a_field_the_schema_rejects(tmp_path, capsys, key, value)
     assert "malformed report" in cap.err
 
 
-@pytest.mark.parametrize("key", ["cycles", "input.dim", "options.max_cycles",
-                                 "options.method", "r_in"])
+@pytest.mark.parametrize("key, form", [
+    *(pytest.param(key, float, id=key) for key in (
+        "cycles", "input.dim", "options.max_cycles", "options.method",
+        "r_in")),
+    # the pattern matches by search, where "$" also matches before a final
+    # newline: a transform entry such as "-4\n" is a bigint
+    pytest.param("transform",
+                 lambda m: [["%d\n" % x for x in row] for row in m],
+                 id="transform-newline")])
 def test_verify_reads_an_integral_float_the_schema_accepts(tmp_path, capsys,
-                                                            key):
+                                                            key, form):
     # draft-07's integer type (and so the bigint) accepts 3.0 as well as 3
     def edit(doc):
         outer, _, inner = key.partition(".")
         owner = doc[outer] if inner else doc
         name = inner or outer
-        owner[name] = float(owner[name])
-        assert isinstance(owner[name], float)
+        before = owner[name]
+        owner[name] = form(before)
+        assert json.dumps(owner[name]) != json.dumps(before)
         check_schema(doc)
         return doc
 
@@ -558,30 +580,39 @@ def test_verify_reads_an_integral_float_the_schema_accepts(tmp_path, capsys,
     assert cap.out.strip() == "ok"
 
 
-def test_unjint_accepts_exactly_the_schema_bigint():
-    assert _unjint(-12) == -12
-    assert _unjint("-12") == -12
-    assert _unjint(-12.0) == -12 and isinstance(_unjint(-12.0), int)
-    # the schema's pattern matches by search, where "$" also matches
-    # before a final newline
-    assert _unjint("-12\n") == -12
-    for bad in (False, 1.5, [1], None, "+1", " 1", "1_000", "١", "1\n\n"):
-        with pytest.raises(ValueError):
-            _unjint(bad)
-
-
 # ----------------------------------------- report parser against the schema
 
 
+def _json_output(argv):
+    """The document a CLI command prints with --json."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv + ["--json"])
+    return json.loads(out.getvalue())
+
+
 def _base_documents():
-    """Valid reduce documents: small entries, and entries past 2^53 whose
-    R, S and transform entries are written as decimal strings."""
+    """Valid documents: reduce documents with small entries, and with
+    entries past 2^53 whose R, S and transform entries are written as
+    decimal strings; for the latter, a compare document and the verify
+    document of a report whose r_out is off by one; and a bench document."""
     docs = []
     for rows in (B_EXAMPLE, [[10 ** 30 + 7, 3], [5, 10 ** 29 + 1]]):
         basis = Basis(rows)
-        _, report = cubify(basis)
-        docs.append(json.loads(json.dumps(
-            report_document(report, basis, path="m.txt"))))
+        reduced, report = cubify(basis)
+        doc = report_document(report, basis, path="m.txt")
+        docs.append(json.loads(json.dumps(doc)))
+    with tempfile.TemporaryDirectory() as tmp:
+        in_path, out_path, rep_path = (os.path.join(tmp, name)
+                                       for name in ("in", "out", "report"))
+        Path(in_path).write_text(format_matrix(basis))
+        Path(out_path).write_text(format_matrix(reduced))
+        Path(rep_path).write_text(json.dumps(
+            {**doc, "r_out": str(report.r_out + 1)}))
+        docs.append(_json_output(["compare", in_path]))
+        docs.append(_json_output(["verify", in_path, out_path, rep_path]))
+    docs.append(_json_output(["bench", "--family", "full", "--dim", "3",
+                              "--count", "1", "--min", "-5", "--max", "5"]))
     return docs
 
 
@@ -591,8 +622,9 @@ SHA = BASE_DOCS[0]["input"]["sha256"]
 #: enum members, their neighbours and values of the wrong type
 ENUM_POOL = ["append", "insert", "Append", "insert ", "random",
              "small_columnar", "large_heterogeneous", "columnar", "reduce",
-             "verify", "cubify-report/1", "cubify-report/2", 0, 1, 2, 3, 1.0,
-             2.0, True, False, None]
+             "verify", "compare", "bench", "full", "cubify", "lll",
+             "cubify-report/1", "cubify-report/2", 0, 1, 2, 3, 1.0, 2.0,
+             True, False, None]
 TEXT = st.one_of(
     st.text(alphabet="0123456789-+ _\nabcdefA", max_size=6),
     st.sampled_from([SHA, SHA + "\n", SHA.upper(), SHA[:-1], "12\n", "007",
@@ -608,12 +640,26 @@ VALUES = st.recursive(
         st.dictionaries(st.sampled_from(["total", "sha256", "dim", "path",
                                          "method", "x"]), inner, max_size=3)),
     max_leaves=6)
-KEYS = st.one_of(st.sampled_from(sorted(REDUCE_KEYS) + list(OPTION_KEYS)
-                                 + ["sha256", "dim", "path", "extra"]),
-                 st.text(max_size=4))
+
+
+def _subschemas(schema):
+    """schema and every schema draft-07 nests in it, in order."""
+    yield schema
+    for key in ("definitions", "properties"):
+        for sub in schema.get(key, {}).values():
+            yield from _subschemas(sub)
+    for sub in schema.get("oneOf", []) + [schema[key] for key in (
+            "items", "additionalProperties") if key in schema]:
+        yield from _subschemas(sub)
+
+
+#: every key a schema object names, and one it does not
+KEYS = st.one_of(st.sampled_from(sorted(
+    {k for sub in _subschemas(SCHEMA) for k in sub.get("properties", {})})
+    + ["extra"]), st.text(max_size=4))
 
 #: a bigint string short enough to read as a float
-_BIGINT_TEXT = re.compile(r"-?[0-9]{1,300}")
+_DECIMAL_TEXT = re.compile(r"-?[0-9]{1,300}")
 
 
 def _paths(node, prefix=()):
@@ -663,24 +709,68 @@ def _mutate(draw, doc):
             parent[last] = float(value)
         elif kind == "string":
             parent[last] = str(value)
-    elif isinstance(value, str) and _BIGINT_TEXT.fullmatch(value):
+    elif isinstance(value, str) and _DECIMAL_TEXT.fullmatch(value):
         parent[last] = int(value) if kind == "string" else float(value)
 
 
-def _schema_accepts(doc):
-    return (jsonschema.Draft7Validator(SCHEMA).is_valid(doc)
-            and doc.get("command") == "reduce")
+def test_base_documents_are_valid():
+    assert sorted(doc["command"] for doc in BASE_DOCS) == [
+        "bench", "compare", "reduce", "reduce", "verify"]
+    for doc in BASE_DOCS:
+        check_schema(doc)
+        assert _schema_error(doc, SCHEMA) is None
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(base=st.sampled_from(BASE_DOCS), data=st.data())
 def test_report_parser_accepts_exactly_what_the_schema_accepts(base, data):
     doc = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         _mutate(data.draw, doc)
+    valid = jsonschema.Draft7Validator(SCHEMA).is_valid(doc)
+    assert (_schema_error(doc, SCHEMA) is None) == valid
     try:
         report_from_document(copy.deepcopy(doc))
         accepted = True
     except ValueError:
         accepted = False
-    assert accepted == _schema_accepts(doc)
+    assert accepted == (valid and doc["command"] == "reduce")
+
+
+@pytest.mark.parametrize("schema, values", [
+    ({"type": "integer"}, [3, -3, 3.0, 3.5, True, "3", None]),
+    ({"type": "number"}, [3, 1.5, 1e300, True, "1"]),
+    ({"type": "boolean"}, [True, False, 0, 1, None]),
+    ({"type": "string"}, ["", "x", 1, ["x"]]),
+    ({"type": "array"}, [[], [1], {}, "ab"]),
+    ({"type": "object"}, [{}, {"a": 1}, [], None]),
+    ({"enum": [1, 2]}, [1, 1.0, 2, 3, True, "1", [1]]),
+    ({"const": "x"}, ["x", "y", ["x"], None]),
+    ({"minimum": 1}, [0, 1, 0.5, 2.0, "0", [0]]),
+    ({"pattern": "^-?[0-9]+$"}, ["12", "-0", "12\n", "12\n\n", "+1", "\u0661",
+                                 12]),
+    ({"minItems": 1, "maxItems": 2}, [[], [1], [1, 2], [1, 2, 3], "abc"]),
+    ({"items": {"type": "integer"}}, [[], [1, 2], [1, "2"], "x"]),
+    ({"required": ["a"]}, [{"a": None}, {}, {"b": 1}, ["a"]]),
+    ({"properties": {"a": {"type": "integer"}},
+      "additionalProperties": {"type": "string"}},
+     [{}, {"a": 1, "b": "x"}, {"a": "1"}, {"b": 1}, [1]]),
+    # 1 matches both forms, so oneOf rejects it
+    ({"oneOf": [{"type": "integer"}, {"minimum": 0}]}, [1, -1, 0.5, "x"]),
+])
+def test_each_keyword_reads_as_draft_07_reads_it(schema, values):
+    for v in values:
+        assert ((_schema_error(v, schema) is None)
+                == jsonschema.Draft7Validator(schema).is_valid(v)), v
+
+
+def test_the_interpreter_reads_every_keyword_the_schema_uses():
+    annotations = {"$schema", "$id", "title", "description", "definitions"}
+    for sub in _subschemas(SCHEMA):
+        # no boolean schemas, and nothing the interpreter would skip
+        assert isinstance(sub, dict), sub
+        assert set(sub) <= set(KEYWORDS) | annotations, sub
+        assert sub.get("type", "object") in _TYPES, sub
+        # its enum and const equality is draft-07's for scalars only
+        for member in sub.get("enum", []) + [sub.get("const")]:
+            assert isinstance(member, (str, int, float, type(None))), sub
