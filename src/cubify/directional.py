@@ -32,17 +32,12 @@ start and after each accepted change.  r is their sum; the sweep keeps it
 as a local, which an accepted change's score replaces, and the state
 stores none.
 
-Neither repeats a verdict the sweep before it reached on the state it
-left.  If a division sweep's last step came in the row visit at position
-L, every later row visit tested every pair on the final state, so each
-pair with a position above L is at its fixpoint there; the next sweep,
-until its first step, visits only the rows at positions <= L and their
-pairs within them, and a row visit that steps runs on to the last
-position.  If a simplification sweep's last accepted change was visit
-last, it scored every later visit on the final state or skipped it as
-the mirror of one it scored there; the next sweep, unless it changes
-something first, ends after visit last.  Either way the sweep that
-confirms the fixpoint is shorter, and every step is the same.
+Division ends on a sweep that takes no step, and that sweep tests each
+unordered pair once.  Simplification does not repeat a verdict the sweep
+before it reached on the state it left: if that sweep's last accepted
+change was visit last, it scored every later visit on the final state or
+skipped it as the mirror of one it scored there; the next sweep, unless
+it changes something first, ends after visit last.
 """
 
 from __future__ import annotations
@@ -69,9 +64,8 @@ def _lagrange(state, variant, order=None, off=None):
     row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
     positive integer, falls with every step and the sweeps end; each step
     asserts it, so a broken Gram update fails instead of looping.
-    A sweep before its first step skips every pair with a position past
-    the row visit of the last sweep's last step: that sweep tested them
-    all after its last step, on the state it left.
+    The sweeps end on one that takes no step; until its first step a
+    sweep tests each unordered pair once, as (i, j) with j > i.
     Without order the sweeps cover every row and permute state once at
     the end, if a row moved.  order, when given, lists the rows to sweep,
     in sweep order (a screening passes the others in norm order); it is
@@ -88,68 +82,47 @@ def _lagrange(state, variant, order=None, off=None):
     g = state.gram
     p = list(range(len(g))) if order is None else order
     m = len(p)
-    # one past the row visit of the last sweep's last step; the first
-    # sweep visits every row, unless off says where the steps are
-    top = m
+    changed = True
     if off is not None and len(off) < m:
         _step_off_pairs(state, variant, p, off)
-        top = 0
-    while top:
-        # the last sweep tested every pair with a position >= end on the
-        # state it ended on; this sweep starts there and, until its first
-        # step, skips them
-        end, top = top, 0
+        changed = False
+    while changed:
+        changed = False
         for i in range(m):
-            if top:
-                js = range(m)
-            elif i < end:
-                # until the sweep's first step, (i, j) with j < i was
-                # tested as (j, i) on this same state, and the test is
-                # symmetric
-                js = range(i + 1, end)
-            else:
-                break
             a = p[i]
             ga = g[a]
             da = ga[a]
-            # a visit checks once, not at every test, whether it took the
-            # sweep's first step and must go on past end
-            while True:
-                for j in js:
-                    if i == j:
-                        continue
-                    b = p[j]
-                    # the fixpoint test, before any role or quotient
-                    db = g[b][b]
-                    if 2 * abs(ga[b]) <= (da if da < db else db):
-                        continue
-                    # the shorter row divides; ties go to the lower position
-                    u, v = ((a, b) if da < db or (da == db and i < j)
-                            else (b, a))
-                    k = _round_ratio(g[u][v], g[u][u])
-                    dv = g[v][v]
-                    state.replace(v, -k, u)
-                    assert 0 < g[v][v] < dv
-                    if variant is Variant.APPEND:
-                        # drop both, append the remainder then the divisor
-                        p.remove(u)
-                        p.remove(v)
-                        p.append(v)
-                        p.append(u)
-                    elif g[v][v] <= g[u][u]:
-                        # the remainder takes the divisor's position, the
-                        # divisor moves to the remainder's
-                        p[i], p[j] = p[j], p[i]
-                    top = i + 1
-                    # the step rebuilt row v and may have moved the rows in p
-                    a = p[i]
-                    ga = g[a]
-                    da = ga[a]
-                if top <= i or js.stop == m:
-                    break
-                # the visit took the sweep's first step, which changed
-                # row i's pairs at positions >= end too
-                js = range(end, m)
+            # until the sweep's first step, (i, j) with j < i was tested
+            # as (j, i) on this same state, and the test is symmetric
+            for j in range(m) if changed else range(i + 1, m):
+                if i == j:
+                    continue
+                b = p[j]
+                # the fixpoint test, before any role or quotient
+                db = g[b][b]
+                if 2 * abs(ga[b]) <= (da if da < db else db):
+                    continue
+                # the shorter row divides; ties go to the lower position
+                u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
+                k = _round_ratio(g[u][v], g[u][u])
+                dv = g[v][v]
+                state.replace(v, -k, u)
+                assert 0 < g[v][v] < dv
+                if variant is Variant.APPEND:
+                    # drop both, append the remainder then the divisor
+                    p.remove(u)
+                    p.remove(v)
+                    p.append(v)
+                    p.append(u)
+                elif g[v][v] <= g[u][u]:
+                    # the remainder takes the divisor's position, the
+                    # divisor moves to the remainder's
+                    p[i], p[j] = p[j], p[i]
+                changed = True
+                # the step rebuilt row v and may have moved the rows in p
+                a = p[i]
+                ga = g[a]
+                da = ga[a]
     if order is None and p != list(range(m)):
         state.permute(p)
 

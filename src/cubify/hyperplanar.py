@@ -34,11 +34,12 @@ shear is scored with the rows where they stand.  Only an accepted
 screening applies its shear, to a Candidate, whose replay moves the
 state into screening order (the other rows, then x).
 
-An accepted screening leaves the sheared row's screening with nothing to
-do.  That row, now last, is not screened again on the same state: its
+A round screens every row, and the pass ends after a round in which
+every screening was rejected.  After an accepted screening the sheared
+row, now last, is screened like the others and rejected at once: its
 dual coordinates over the other rows are the old ones minus their
-roundings, all in [-1/2, 1/2], so each rounds to 0 (half to even) and the
-shear is the identity.
+roundings, all in [-1/2, 1/2], so each rounds to 0 (half to even) and
+the shear is the identity.
 
 With sublattice reduction the pass tracks off, the pairs (x, y), x < y,
 of the state's rows that are off the division fixpoint.  One scan of
@@ -114,10 +115,9 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     that of its final gram.  It reads the state's r and norm_order() at
     its start and after each accepted screening (a rejected one leaves
     gram as it was); r is a local that each accepted screening's score
-    replaces, checked against gram once, at the end.  It skips the work
-    that would change nothing (see the module docstring): after an
-    accepted screening the sheared row's screening, and with sublattice
-    reduction the sweep of rows none of whose pairs is off the fixpoint.
+    replaces, checked against gram once, at the end.  With sublattice
+    reduction a screening sweeps the other rows only when one of their
+    pairs is off the division fixpoint (see the module docstring).
     """
     g = state.gram
     n = len(g)
@@ -130,10 +130,8 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         # the pairs (x, y), x < y, off the division fixpoint
         off = {(x, y) for x in range(n) for y in range(x + 1, n)
                if 2 * abs(g[x][y]) > min(g[x][x], g[y][y])}
-    # after an accepted screening, the last row is not screened again
-    end = n
     i = 0
-    while i < end:
+    while i < n:
         # the other rows in row order, the rows a shear of row i combines
         others = [t for t in range(n) if t != i]
         rest = [t for t in order if t != i] if reduce_sublattice else others
@@ -171,14 +169,11 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
                 trace.append(AcceptedShear(normal=_primitive(dual[0]),
                                            before=before,
                                            after=tuple(state.row(-1))))
-            # the sheared row's dual coordinates are the old ones minus
-            # their roundings, in [-1/2, 1/2], and all round to 0
-            end = n - 1
             if reduce_sublattice:
                 # the others ended at the fixpoint: only the last row's
                 # pairs can be off it
                 last = g[-1]
-                off = {(t, end) for t in range(end)
+                off = {(t, n - 1) for t in range(n - 1)
                        if 2 * abs(last[t]) > min(g[t][t], last[-1])}
             i = 0
         else:
@@ -195,8 +190,7 @@ def hyperplanar_pass(b, lagrange_variant=Variant.INSERT, *,
     isolated vector toward the hyperplane foot, and accepts the candidate
     list {reduced sublattice..., sheared vector} only on a strict rhombicity
     decrease.  The pass ends after a round of screenings with no
-    acceptance; a round after an accepted change skips the vector it
-    sheared, whose shear would now round to zero.
+    acceptance.
 
     trace, when given, is a list that collects an AcceptedShear per accepted
     change.

@@ -1,10 +1,12 @@
 """Shared test utilities: scramble generators and brute-force oracles.
 
 The oracles are deliberately dumb enumerations, independent of the package's
-reduction code, so they can vouch for it.  reference_lagrange and
-reference_simplify are the division and simplification sweeps as they ran
-before the sweeps learnt to end early: every sweep after one that changed
-something runs to its end.  The sweeps must take the same steps.
+reduction code, so they can vouch for it.  reference_lagrange is the loop of
+_lagrange's sweeps, kept as the oracle for the steps _lagrange takes from
+its off pairs without sweeping, and for the size rule that picks between
+the two.  reference_simplify is _simplify without its bound: every sweep
+after one that changed something runs to its end.  The package must take
+the same steps.
 """
 
 import itertools
@@ -142,7 +144,7 @@ def division_reduced(gram):
     return not off_pairs(gram)
 
 
-# -- the sweeps before they ended early ------------------------------------
+# -- the plain sweeps ------------------------------------------------------
 
 def reference_lagrange(state, variant, order=None):
     """Division sweeps until every rounded quotient is zero.

@@ -22,7 +22,8 @@ src/ next to this script, so one copy of the script serves both trees.
 --only restricts the run to the named inputs (see --list) and prints the
 digest of that subset.  --expect HEX compares the digest with HEX: on a
 match the script prints the digest and exits 0, on a mismatch it prints
-both and exits 1.  A full run takes about two minutes on one core.
+both and exits 1.  A full run takes 40-50 s on one core of a shared
+x86_64 host under Python 3.11.
 """
 
 from __future__ import annotations

@@ -252,7 +252,7 @@ def test_trace_normal_is_the_accepted_sublattice_normal(
 def test_an_accepted_screening_leaves_nothing_to_screen_again(
         rows, variant, reduce_sublattice):
     # after every accepted screening the sheared row is last; screening it
-    # again would round every dual coordinate to 0, and with sublattice
+    # again rounds every dual coordinate to 0, and with sublattice
     # reduction every pair of the other rows is at its division fixpoint,
     # so their sweep would take no step either
     n = len(rows)

@@ -13,12 +13,11 @@ shear before it applies it, makes a Candidate for a pre-pass screening
 only once it is accepted, and reorders a Candidate only once it is
 accepted; it must end where the screening loop it replaced ends.
 
-A sweep also skips what the sweep before it settled on the state it left:
-_lagrange's confirming sweep tests only the pairs within the positions up
-to the last step's row visit, and _simplify's ends after the visit of the
-last accepted change.  Both must take the steps of the sweeps as they ran
-before (reference_lagrange and reference_simplify in _helpers), on states
-far from their fixpoint.  Handed the pairs that are off the fixpoint,
+A simplification sweep also skips what the sweep before it settled on
+the state it left: it ends after the visit of that sweep's last accepted
+change.  _lagrange and _simplify must take the steps of reference_lagrange
+and reference_simplify in _helpers, on states far from their fixpoint.
+Handed the pairs that are off the fixpoint,
 _lagrange takes the same steps without sweeping: it jumps from one off
 pair to the one the sweeps would visit next, and tests only the replaced
 row's pairs again; the hyperplanar pass tracks those pairs and hands each
@@ -593,37 +592,6 @@ def _final_sweep(visits):
     return visits[drops[-1]:] if drops else visits
 
 
-def _after_the_last_step(sweep, rows, variant):
-    """The row visit L of a division run's last step, and the fixpoint
-    tests that came after it: the rest of that sweep, then the last."""
-    state = _Retagging(rows, _Tested)
-    _Tagged.log = []
-    sweep(state, variant, state.order)
-    reads, before = state.replaces[-1]
-    # the step's own test read g[p[L]][p[j]], p as it stood then
-    return before.index(_Tagged.log[reads - 1][0]), len(_Tagged.log) - reads
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-def test_a_confirming_division_sweep_stays_below_the_last_step(
-        monkeypatch, variant):
-    # the sweep after the last step at row visit L tests the pairs (i, j)
-    # with i < j <= L, where the reference sweep tested all n·(n - 1)/2;
-    # the rest of the sweep that took the step is the same in both
-    n = 10
-    monkeypatch.setattr(_Tagged, "log", None)
-    last_visits = []
-    for seed in range(6):
-        rows = generate(GeneratorSpec("full", n, (0, 100), seed=seed)).rows
-        L, tests = _after_the_last_step(_lagrange, rows, variant)
-        ref_L, ref_tests = _after_the_last_step(reference_lagrange, rows,
-                                                variant)
-        assert L == ref_L
-        assert tests - L * (L + 1) // 2 == ref_tests - n * (n - 1) // 2
-        last_visits.append(L)
-    assert min(last_visits) < n - 1
-
-
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_division_from_off_pairs_tests_only_each_replaced_rows_pairs(
         monkeypatch, variant):
@@ -755,7 +723,9 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
     # a screening of row i makes a Candidate and sweeps exactly when a pair
     # of the rows but i is off the division fixpoint of the state it
     # screens: the pass's start, or the last accepted screening's result.
-    # After an accepted screening it never screens the last row again.
+    # After an accepted screening, the round reaches the sheared row, now
+    # last, only if it rejects every other screening; that row is screened
+    # in place and rejected, and the pass ends.
     events = []
     screen = hyperplanar._shear_coeffs
     init, replay = Candidate.__init__, Candidate.replay
@@ -786,8 +756,8 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
                                                   seed=seed)))
         events.append(("pass", off_pairs(state.gram)))
         _hyperplanar(state, variant)
-    in_place = swept = 0
-    for event in events:
+    in_place = swept = again = 0
+    for at, event in enumerate(events):
         if event[0] in ("pass", "accepted"):
             off, since = event[1], []
             accepted = event[0] == "accepted"
@@ -799,11 +769,15 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
             else:
                 assert since == [("candidate",), ("sweep",)]
                 swept += 1
-            assert not accepted or i != n - 1
+            if accepted and i == n - 1:
+                assert all(i in pair for pair in off)
+                # rejected: no Candidate and no replay follow, the pass ends
+                assert at + 1 == len(events) or events[at + 1][0] == "pass"
+                again += 1
             since = []
         else:
             since.append(event)
-    assert in_place > 0 and swept > 0
+    assert in_place > 0 and swept > 0 and again > 0
 
 
 @settings(max_examples=100, deadline=None)
