@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .cubifier import LARGE_DIM, _is_int, cubify, transform_problems
+from .cubifier import _is_int, cubify, transform_problems
 from .exact import Basis, SingularBasisError, metric_tensor, norm_sum, \
     rhombicity
 from .lll import _lll
@@ -131,8 +131,7 @@ class BatteryResult:
                 for alg in self.algorithms}
 
 
-def measure(basis, algorithms=ALGORITHMS, seed=None,
-            large_dim=LARGE_DIM) -> list:
+def measure(basis, algorithms=ALGORITHMS, seed=None) -> list:
     """Reduce and time basis with each algorithm; one record each.
 
     Every output is checked against its transform (transform_problems); a
@@ -145,7 +144,7 @@ def measure(basis, algorithms=ALGORITHMS, seed=None,
     for alg in algorithms:
         t0 = time.perf_counter()
         if alg == "cubify":
-            reduced, report = cubify(basis, large_dim=large_dim)
+            reduced, report = cubify(basis)
             transform = report.transform
         elif alg == "lll":
             (reduced, transform), report = _lll(basis, LLL_ALPHA), None

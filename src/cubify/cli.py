@@ -29,8 +29,8 @@ import sys
 
 from .bench import (ALGORITHMS, FAMILIES, LLL_ALPHA, BatteryVerificationError,
                     GenerationError, GeneratorSpec, measure, run_battery)
-from .cubifier import (LARGE_DIM, CubifyOptions, MatrixClass, ReductionReport,
-                       classify, cubify, default_options, verify_problems)
+from .cubifier import (CubifyOptions, MatrixClass, ReductionReport, classify,
+                       cubify, default_options, verify_problems)
 from .directional import Variant
 from .exact import Basis, SingularBasisError
 
@@ -269,7 +269,7 @@ def _resolve_options(args, basis):
         overrides["max_cycles"] = args.max_cycles
     if not overrides:
         return None
-    base = default_options(classify(basis, large_dim=args.large_dim))
+    base = default_options(classify(basis))
     return dataclasses.replace(base, **overrides)
 
 
@@ -279,7 +279,7 @@ def cmd_reduce(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         # fail before the reduction, not after it
         raise MatrixParseError("cannot write %s: no such directory" % args.out)
-    reduced, report = cubify(basis, options, large_dim=args.large_dim)
+    reduced, report = cubify(basis, options)
     # format every integer before writing anything
     matrix = format_matrix(reduced)
     doc = report_document(report, basis, path=args.input)
@@ -311,7 +311,7 @@ def cmd_reduce(args) -> int:
 def cmd_compare(args) -> int:
     basis = load_matrix(args.input)
     # measure raises unless each output checks out against its transform
-    cub, lll = measure(basis, ALGORITHMS, large_dim=args.large_dim)
+    cub, lll = measure(basis, ALGORITHMS)
     docs = {rec.algorithm: {"r_out": _jint(rec.r_out), "s_out": _jint(rec.s_out),
                             "verified": True, "seconds": rec.seconds}
             for rec in (cub, lll)}
@@ -404,12 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice basis reduction driven by rhombicity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_class_flags(p):
-        p.add_argument("--large-dim", type=int, default=LARGE_DIM, metavar="N",
-                       help="dimension boundary for the large matrix classes")
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON document instead of text")
-
     p = sub.add_parser("reduce", help="reduce one matrix file")
     p.add_argument("input")
     p.add_argument("--method", choices=("auto", "1", "2"), default="auto")
@@ -419,12 +413,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cycles", type=int, metavar="K")
     p.add_argument("--out", metavar="PATH",
                    help="write the reduced matrix to this file")
-    add_class_flags(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("compare", help="reduce with cubify and LLL, report both")
     p.add_argument("input")
-    add_class_flags(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("bench", help="run a seeded reduction battery")
@@ -452,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("reduce", "compare") and args.large_dim < 1:
-        parser.error("--large-dim must be positive")
     if args.command == "reduce":
         if args.max_cycles is not None and args.max_cycles < 1:
             parser.error("--max-cycles must be positive")

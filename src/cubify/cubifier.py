@@ -74,17 +74,14 @@ def _dense_high(line, n):
     return nonzero >= (n + 1) // 2 and high >= (n + 3) // 4
 
 
-def classify(b, *, large_dim=LARGE_DIM) -> MatrixClass:
+def classify(b) -> MatrixClass:
     """Coarse shape of the matrix, used to pick default reduction options.
 
     Mostly-zero matrices (at least half the entries zero) with a dense
     high-value column are columnar, or heterogeneous when dense high-value
-    rows join the column and the dimension is large.  Everything else,
-    including uniformly dense matrices, is random.  large_dim must be a
-    positive integer.
+    rows join the column and the dimension is large (n >= LARGE_DIM).
+    Everything else, including uniformly dense matrices, is random.
     """
-    if not _is_int(large_dim) or large_dim < 1:
-        raise ValueError("large_dim must be a positive integer")
     rows = _as_rows(b)
     n = len(rows)
     zeros = sum(1 for row in rows for x in row if x == 0)
@@ -94,7 +91,7 @@ def classify(b, *, large_dim=LARGE_DIM) -> MatrixClass:
     if not col_hit:
         return MatrixClass.RANDOM
     row_hit = any(_dense_high(row, n) for row in rows)
-    if n < large_dim:
+    if n < LARGE_DIM:
         return MatrixClass.SMALL_COLUMNAR
     if row_hit:
         return MatrixClass.LARGE_HETEROGENEOUS
@@ -165,7 +162,7 @@ class ReductionReport:
     max_cycles_exhausted: bool = False
 
 
-def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
+def cubify(b, options: CubifyOptions | None = None):
     """Reduce a basis; returns (reduced basis, report).
 
     With options=None the option set is picked from classify(b).  The report
@@ -174,7 +171,7 @@ def cubify(b, options: CubifyOptions | None = None, *, large_dim=LARGE_DIM):
     """
     basis = Basis(b)
     t_start = time.perf_counter()
-    matrix_class = classify(basis, large_dim=large_dim)
+    matrix_class = classify(basis)
     auto = options is None
     opts = default_options(matrix_class) if auto else options
 

@@ -190,46 +190,6 @@ def _round_ratio(num: int, den: int) -> int:
     return fl + (fl & 1)
 
 
-class _Singular(Exception):
-    pass
-
-
-def _eliminate(aug, n):
-    """Fraction-free (Bareiss) forward elimination over the first n columns.
-
-    Works in place on the n rows of aug, which may carry extra right-hand
-    columns.  A row moves only when its pivot vanishes, so a positive
-    definite matrix keeps its row order.  Afterwards aug[n-1][n-1] is the
-    determinant of the leading n*n block times the returned sign (+1 or -1,
-    the parity of the row swaps).  Raises _Singular when that block is
-    singular.
-    """
-    w = len(aug[0]) if n else 0
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            for i in range(k + 1, n):
-                if aug[i][k]:
-                    aug[k], aug[i] = aug[i], aug[k]
-                    sign = -sign
-                    break
-            else:
-                raise _Singular
-        row_k = aug[k]
-        piv = row_k[k]
-        for i in range(k + 1, n):
-            row_i = aug[i]
-            f = row_i[k]
-            for j in range(k + 1, w):
-                q, rem = divmod(piv * row_i[j] - f * row_k[j], prev)
-                assert rem == 0
-                row_i[j] = q
-            row_i[k] = 0
-        prev = piv
-    return sign
-
-
 def det(matrix) -> int:
     """Determinant of a square integer matrix, by fraction-free elimination."""
     m = [[_int(x) for x in row] for row in matrix]
@@ -237,10 +197,28 @@ def det(matrix) -> int:
     for row in m:
         if len(row) != n:
             raise DimensionMismatchError("determinant of a non-square matrix")
-    try:
-        sign = _eliminate(m, n)
-    except _Singular:
-        return 0
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        row_k = m[k]
+        piv = row_k[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                q, rem = divmod(piv * row_i[j] - f * row_k[j], prev)
+                assert rem == 0
+                row_i[j] = q
+            row_i[k] = 0
+        prev = piv
     return sign * m[n - 1][n - 1] if n else 1
 
 

@@ -1,12 +1,12 @@
 """Shared test utilities: scramble generators and brute-force oracles.
 
 The oracles are deliberately dumb enumerations, independent of the package's
-reduction code, so they can vouch for it.  reference_lagrange is the loop of
-_lagrange's sweeps, kept as the oracle for the steps _lagrange takes from
-its off pairs without sweeping, and for the size rule that picks between
-the two.  reference_simplify is _simplify without its bound: every sweep
-after one that changed something runs to its end.  The package must take
-the same steps.
+reduction code, so they can vouch for it.  reference_lagrange is _lagrange's
+sweep loop without its mirror-pair skip, the oracle for the steps _lagrange
+takes by sweeping, for those it takes from its off pairs without sweeping,
+and for the size rule that picks between the two.  reference_simplify is
+_simplify without its bound: every sweep after one that changed something
+runs to its end.  The package must take the same steps.
 """
 
 import itertools
@@ -156,11 +156,14 @@ def reference_lagrange(state, variant, order=None):
     positions (INSERT).  A step's remainder is strictly shorter than the
     row it replaces (2|g_uv| > g_uu <= g_vv), so the trace of gram, a
     positive integer, falls with every step and the sweeps end; each step
-    asserts it, so a broken Gram update fails instead of looping.
-    Without order the sweeps cover every row and permute state once at
-    the end, if a row moved.  order, when given, lists the rows to sweep,
-    in sweep order (a screening passes the others in norm order); it is
-    swept in place as p and ends holding their order, and no row moves.
+    asserts it, so a broken Gram update fails instead of looping.  Every
+    sweep tests every ordered pair (i, j), i != j: _lagrange's skip of the
+    mirror pairs before a sweep's first step is not copied, so the oracle
+    vouches for it.  Without order the sweeps cover every row and permute
+    state once at the end, if a row moved.  order, when given, lists the
+    rows to sweep, in sweep order (a screening passes the others in norm
+    order); it is swept in place as p and ends holding their order, and no
+    row moves.
     """
     g = state.gram
     p = list(range(len(g))) if order is None else order
@@ -172,9 +175,7 @@ def reference_lagrange(state, variant, order=None):
             a = p[i]
             ga = g[a]
             da = ga[a]
-            # until the sweep's first step, (i, j) with j < i was tested
-            # as (j, i) on this same state, and the test is symmetric
-            for j in range(m) if changed else range(i + 1, m):
+            for j in range(m):
                 if i == j:
                     continue
                 b = p[j]

@@ -21,7 +21,7 @@ from cubify.cli import (KEYWORDS, SCHEMA_PATH, MatrixParseError, _TYPES,
                         _jint, _schema_error, build_parser, format_matrix,
                         load_matrix, main, matrix_digest, parse_matrix_text,
                         report_document, report_from_document)
-from cubify.cubifier import LARGE_DIM, cubify
+from cubify.cubifier import cubify
 
 SCHEMA = json.loads(Path(SCHEMA_PATH).read_text())
 
@@ -105,8 +105,6 @@ def _flag(command, flag):
 
 
 def test_parser_takes_defaults_and_choices_from_the_library():
-    for command in ("reduce", "compare"):
-        assert _flag(command, "--large-dim").default == LARGE_DIM
     assert list(_flag("bench", "--family").choices) == list(bench.FAMILIES)
     assert (list(_flag("bench", "--algorithm").choices)
             == list(ALGORITHMS) + ["both"])
@@ -198,20 +196,13 @@ def test_reduce_rejects_bad_max_cycles(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["reduce", "compare"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_rejects_a_large_dim_below_one(tmp_path, capsys, command, value):
+def test_large_dim_is_not_a_flag(tmp_path, capsys, command):
+    # the class boundary is the constant cubifier.LARGE_DIM
     path = write_matrix(tmp_path, B_EXAMPLE)
     with pytest.raises(SystemExit) as exc:
-        main([command, path, "--large-dim", value])
+        main([command, path, "--large-dim", "15"])
     assert exc.value.code == 2
-    assert "--large-dim" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["reduce", "compare"])
-def test_accepts_large_dim_one(tmp_path, capsys, command):
-    path = write_matrix(tmp_path, B_EXAMPLE)
-    assert main([command, path, "--large-dim", "1", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["command"] == command
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_reduce_parse_error_exit(tmp_path, capsys):

@@ -48,29 +48,6 @@ def test_classify_columnar_by_size():
     assert classify(_columnar(14, col[:14])) is MatrixClass.SMALL_COLUMNAR
 
 
-def test_classify_large_dim_is_tunable():
-    col = [1000 + 7 * i for i in range(10)]
-    assert classify(_columnar(10, col), large_dim=10) is MatrixClass.LARGE_COLUMNAR
-    assert classify(_columnar(10, col), large_dim=11) is MatrixClass.SMALL_COLUMNAR
-
-
-@pytest.mark.parametrize("large_dim", [0, -1, True, 2.5, "15"])
-def test_large_dim_must_be_a_positive_int(large_dim):
-    col = [1000 + 7 * i for i in range(10)]
-    with pytest.raises(ValueError, match="large_dim"):
-        classify(_columnar(10, col), large_dim=large_dim)
-    with pytest.raises(ValueError, match="large_dim"):
-        cubify(B_EXAMPLE, large_dim=large_dim)
-
-
-def test_large_dim_one_makes_every_columnar_input_large():
-    col = [1000 + 7 * i for i in range(10)]
-    assert classify(_columnar(10, col), large_dim=1) is MatrixClass.LARGE_COLUMNAR
-    reduced, report = cubify(_columnar(10, col), large_dim=1)
-    assert report.matrix_class is MatrixClass.LARGE_COLUMNAR
-    assert verify(_columnar(10, col), reduced, report)
-
-
 def test_classify_small_heterogeneous_folds_into_small_columnar():
     # dense high-value rows plus a heavy column, but below the size boundary
     rows = _columnar(8, [900, 800, 700, 600, 500, 400, 300, 200])
