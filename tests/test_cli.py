@@ -196,6 +196,16 @@ def test_reduce_rejects_bad_max_cycles(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["reduce", "compare"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_rejects_a_large_dim_below_one(tmp_path, capsys, command, value):
+    path = write_matrix(tmp_path, B_EXAMPLE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--large-dim", value])
+    assert exc.value.code == 2
+    assert "--large-dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "compare"])
 def test_large_dim_is_not_a_flag(tmp_path, capsys, command):
     # the class boundary is the constant cubifier.LARGE_DIM
     path = write_matrix(tmp_path, B_EXAMPLE)
