@@ -207,12 +207,14 @@ def cubify(b, options: CubifyOptions | None = None):
         cycles += 1
         r = state.r
         r_history.append(r)
-        if __debug__:
-            assert state.consistent()
+        # each cycle-end state is checked once: a discarded one here, keep
+        # once this cycle replaces it, the returned one by the exit check
         if r >= r_before:
             # no strict progress: hand back the pre-cycle list
+            assert state.consistent()
             state = keep
             break
+        assert cycles == 1 or keep.consistent()
         if cycles >= opts.max_cycles:
             exhausted = True
             break

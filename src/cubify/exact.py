@@ -217,7 +217,6 @@ def det(matrix) -> int:
                 q, rem = divmod(piv * row_i[j] - f * row_k[j], prev)
                 assert rem == 0
                 row_i[j] = q
-            row_i[k] = 0
         prev = piv
     return sign * m[n - 1][n - 1] if n else 1
 

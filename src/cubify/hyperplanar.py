@@ -22,17 +22,17 @@ the package's one shear computation: a screening builds no normal vector,
 rational gap or linear solve.  Trace records of accepted shears take the
 hyperplane's primitive normal from the same dual row.
 
-A screening scores its shear before applying it (_sheared_r): the sheared
-row's scalar products and norm, and so the rhombicity it would leave, come
-from the Gram rows it combines, and nothing is written.  With sublattice
+A screening scores its shear before applying it (_sheared_r) from its
+steps, the (c, t) of its nonzero coefficients: the sheared row's scalar
+products and norm, and so the rhombicity it would leave, come from the
+Gram rows they combine, and nothing is written.  With sublattice
 reduction the other rows are swept in BasisState.norm_order() on a
 Candidate (see _state.py), an unpermuted copy of the Gram matrix that
-carries x's row of the state's adjugate, and the sweeps only track the
-order they leave the rows in; without it a screening reads the state's
-Gram matrix and adjugate in place and copies nothing.  Either way the
-shear is scored with the rows where they stand.  Only an accepted
-screening applies its shear, to a Candidate, whose replay moves the
-state into screening order (the other rows, then x).
+carries x's row of the state's adjugate; without it a screening reads
+the state's Gram matrix and adjugate in place.  A list of the other rows
+is built only for a sweep or an acceptance.  Only an accepted screening
+applies its steps, to a Candidate, whose replay moves the state into
+screening order (the other rows, then x).
 
 A round screens every row, and the pass ends after a round in which
 every screening was rejected.  After an accepted screening the sheared
@@ -64,33 +64,32 @@ from .exact import Basis, _matmul, _primitive, _round_ratio
 
 
 def _shear_coeffs(arow, i):
-    """round(adj_it / adj_ii) for every row t != i, in row order.
+    """The nonzero round(adj_it / adj_ii), t != i, as (c, t) in row order.
 
     arow is row i of the adjugate of the metric tensor; its entries are
     det(G) times the coordinates of -proj(b_i) over the other rows, and
     adj_ii = det(G)·(G⁻¹)_ii is positive.  Each ratio is rounded half to
     even like nearest_int.  Most round to 0, which needs no division:
-    |a/d| <= 1/2 rounds to 0, the ties ±1/2 included.
+    |a| <= d >> 1 is 2|a| <= d, the ties ±1/2 included.
     """
     d = arow[i]
     assert d > 0
-    return [0 if 2 * abs(a) <= d else _round_ratio(a, d)
-            for t, a in enumerate(arow) if t != i]
+    h = d >> 1
+    return [(_round_ratio(a, d), t) for t, a in enumerate(arow)
+            if abs(a) > h and t != i]
 
 
-def _sheared_r(gram, r, i, coeffs, srcs):
-    """The rhombicity left by rows[i] += c·rows[t] over zip(coeffs, srcs).
+def _sheared_r(gram, r, i, steps):
+    """The rhombicity left by rows[i] += c·rows[t] over steps, (c, t) pairs.
 
     Reads gram and changes nothing.  The sheared row's scalar products are
     D = g_i + sum c·g_t, accumulated row by row with _axpy (C speed for
     c = ±1), its squared norm is D_i + sum c·D_t, and r trades row i's
     weight for the new row's (off-diagonal entries count twice).
     """
-    gi = gram[i]
-    steps = [(c, t) for c, t in zip(coeffs, srcs) if c]
     if not steps:
         return r
-    dots = gi
+    gi = dots = gram[i]
     for c, t in steps:
         dots = _axpy(dots, c, gram[t])
     norm = dots[i] + sum(c * dots[t] for c, t in steps)
@@ -112,12 +111,12 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
 
     The pass reads the adjugate of state.gram from state.adjugate() and
     moves it in place, so the state's stored adjugate ends the pass as
-    that of its final gram.  It reads the state's r and norm_order() at
-    its start and after each accepted screening (a rejected one leaves
-    gram as it was); r is a local that each accepted screening's score
-    replaces, checked against gram once, at the end.  With sublattice
-    reduction a screening sweeps the other rows only when one of their
-    pairs is off the division fixpoint (see the module docstring).
+    that of its final gram.  It reads the state's r at its start; r is a
+    local that each accepted screening's score replaces, checked against
+    gram once, at the end.  With sublattice reduction it reads
+    norm_order() at its start and after each accepted screening (a
+    rejected one leaves gram as it was), and a screening sweeps the other
+    rows only when one of their pairs is off the division fixpoint.
     """
     g = state.gram
     n = len(g)
@@ -125,21 +124,20 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
         return
     adj = state.adjugate()
     current = state.r
-    order = state.norm_order()
+    # the others' screening order: by norm, or by position without sweeps
+    order = state.norm_order() if reduce_sublattice else range(n)
     if reduce_sublattice:
         # the pairs (x, y), x < y, off the division fixpoint
         off = {(x, y) for x in range(n) for y in range(x + 1, n)
                if 2 * abs(g[x][y]) > min(g[x][x], g[y][y])}
     i = 0
     while i < n:
-        # the other rows in row order, the rows a shear of row i combines
-        others = [t for t in range(n) if t != i]
-        rest = [t for t in order if t != i] if reduce_sublattice else others
         # the off pairs of the others: the pairs their sweeps would step
         pairs = {q for q in off if i not in q} if reduce_sublattice else None
         if pairs:
             # sweep the others in norm order on an unpermuted copy; rest
             # ends in the order the sweeps left them in
+            rest = [t for t in order if t != i]
             cand = Candidate(state, i, current)
             _lagrange(cand, lagrange_variant, rest, off=pairs)
             gram, arow, r = cand.gram, cand.arow, cand.r
@@ -149,20 +147,19 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             # makes a candidate
             cand = None
             gram, arow, r = state.gram, adj[i], current
-        coeffs = _shear_coeffs(arow, i)
-        r = _sheared_r(gram, r, i, coeffs, others)
+        steps = _shear_coeffs(arow, i)
+        r = _sheared_r(gram, r, i, steps)
         if r < current:
             before = tuple(state.row(i)) if trace is not None else None
             if cand is None:
                 cand = Candidate(state, i, current)
-            for c, t in zip(coeffs, others):
-                if c:
-                    cand.replace(i, c, t)
+                rest = [t for t in order if t != i]
+            for c, t in steps:
+                cand.replace(i, c, t)
             assert cand.r == r
             # the screening order: the other rows, then row i
             cand.replay(state, rest + [i])
             current = r
-            order = state.norm_order()
             if trace is not None:
                 # the last dual row is orthogonal to every row but the last
                 dual = _matmul(_matmul([adj[-1]], state.trans), state.base)
@@ -170,6 +167,7 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
                                            before=before,
                                            after=tuple(state.row(-1))))
             if reduce_sublattice:
+                order = state.norm_order()
                 # the others ended at the fixpoint: only the last row's
                 # pairs can be off it
                 last = g[-1]

@@ -139,6 +139,20 @@ def off_pairs(gram, rows=None):
             if 2 * abs(gram[x][y]) > min(gram[x][x], gram[y][y])}
 
 
+def dense(steps, n, i):
+    """A shear's steps, (c, t) pairs, as one coefficient per row t != i of
+    n, in row order, 0 where no step reads the row.
+
+    Checks the sparse form first: every c nonzero, and the rows t != i
+    strictly increasing.
+    """
+    rows = [t for _, t in steps]
+    assert all(c for c, _ in steps) and i not in rows
+    assert rows == sorted(set(rows))
+    coeffs = {t: c for c, t in steps}
+    return [coeffs.get(t, 0) for t in range(n) if t != i]
+
+
 def division_reduced(gram):
     """Whether every pair of gram is at its division fixpoint."""
     return not off_pairs(gram)

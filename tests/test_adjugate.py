@@ -235,12 +235,12 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
         reads.append((arow[:], i))
         return shear(arow, i)
 
-    def checked_score(gram, r, i, coeffs, srcs):
+    def checked_score(gram, r, i, steps):
         arow, pos = reads[-1]
         assert i == pos
         assert arow == _adjugate(gram)[i]
         scores.append(i)
-        return score(gram, r, i, coeffs, srcs)
+        return score(gram, r, i, steps)
 
     def checked_replay(self, state, order):
         replay(self, state, order)

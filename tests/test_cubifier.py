@@ -154,18 +154,16 @@ def test_cubify_rejects_singular():
 
 
 def _cubify_corrupted_at_exit(monkeypatch, corrupt):
-    # the per-cycle check runs once after the single allowed cycle; the
-    # state is corrupted right after it passes, so only the exit check is
-    # left to notice
-    class CorruptedAtExit(BasisState):
-        __slots__ = ()
+    # the single allowed cycle makes progress, so its state is returned
+    # and no debug check runs on it; the state is corrupted right after
+    # the run's last (and only) pass, so only the exit check can notice
+    inner = cubifier._hyperplanar
 
-        def consistent(self):
-            ok = super().consistent()
-            corrupt(self)
-            return ok
+    def corrupted(state, *args, **kwargs):
+        inner(state, *args, **kwargs)
+        corrupt(state)
 
-    monkeypatch.setattr(cubifier, "BasisState", CorruptedAtExit)
+    monkeypatch.setattr(cubifier, "_hyperplanar", corrupted)
     cubify(B_EXAMPLE, CubifyOptions(method=1, max_cycles=1))
 
 
@@ -202,6 +200,66 @@ def test_exit_check_catches_a_scaled_transform_row(monkeypatch):
 
     with pytest.raises(AssertionError, match="unimodular"):
         _cubify_corrupted_at_exit(monkeypatch, corrupt)
+
+
+def _count_passes(monkeypatch, fault=None, at=None):
+    """Patch cubifier._hyperplanar to count its calls in the returned list,
+    and to apply fault to the state right after call number at."""
+    passes = []
+    inner = cubifier._hyperplanar
+
+    def counted(state, *args, **kwargs):
+        inner(state, *args, **kwargs)
+        if len(passes) == at:
+            fault(state)
+        passes.append(state)
+
+    monkeypatch.setattr(cubifier, "_hyperplanar", counted)
+    return passes
+
+
+FULL_12 = GeneratorSpec("full", 12, (0, 100), seed=1_000_000)
+
+
+def test_a_gram_fault_after_any_pass_is_caught(monkeypatch):
+    # three cycles (progress, progress, rollback) and four passes: a
+    # corrupted symmetric Gram pair stays off the rows' metric tensor
+    # through every later step, and whichever cycle-end state carries it,
+    # discarded, replaced or returned, is checked
+    b = generate(FULL_12)
+    passes = _count_passes(monkeypatch)
+    _, rep = cubify(b)
+    assert (rep.cycles, len(passes)) == (3, 4)
+
+    def fault(state):
+        state.gram[0][1] += 1
+        state.gram[1][0] += 1
+
+    for at in range(len(passes)):
+        with pytest.MonkeyPatch.context() as mp:
+            _count_passes(mp, fault, at)
+            with pytest.raises(AssertionError):
+                cubify(b)
+
+
+def test_the_returned_state_is_left_to_the_exit_check(monkeypatch):
+    # every cycle-end state but the returned one gets one debug check: the
+    # first cycle's once the second replaces it, and the third's, which
+    # the rollback discards
+    checked = []
+    inner = BasisState.consistent
+
+    def counted(self):
+        checked.append(self.r)
+        return inner(self)
+
+    monkeypatch.setattr(BasisState, "consistent", counted)
+    _, rep = cubify(generate(FULL_12))
+    assert rep.cycles == 3
+    assert len(checked) == rep.cycles - 1
+    r_in, first, returned, discarded = rep.r_history
+    assert rep.r_out == returned
+    assert checked == [first, discarded]
 
 
 def test_verify_accepts_and_rejects():

@@ -14,7 +14,7 @@ from cubify.directional import _lagrange
 from cubify.exact import _adjugate
 from cubify.hyperplanar import _hyperplanar, _shear_coeffs
 
-from _helpers import division_reduced, random_basis, random_unimodular
+from _helpers import dense, division_reduced, random_basis, random_unimodular
 from conftest import B_EXAMPLE
 from test_sweeps import bases
 
@@ -31,7 +31,7 @@ def shear(isolated, sub):
     state.adjugate()
     m = len(sub)
     cand = Candidate(state, m, state.r)
-    for c, t in zip(_shear_coeffs(cand.arow, m), range(m)):
+    for c, t in zip(dense(_shear_coeffs(cand.arow, m), m + 1, m), range(m)):
         if c:
             cand.replace(m, c, t)
     cand.replay(state, list(range(m + 1)))
@@ -269,7 +269,7 @@ def test_an_accepted_screening_leaves_nothing_to_screen_again(
             _lagrange(again, variant,
                       [t for t in state.norm_order() if t != n - 1])
             assert again.log == []
-        assert not any(_shear_coeffs(state.adj[-1], n - 1))
+        assert _shear_coeffs(state.adj[-1], n - 1) == []
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Candidate, "replay", checked)

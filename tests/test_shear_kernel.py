@@ -5,7 +5,9 @@ adjugate of the metric tensor (round(adj_it / adj_ii)), carried through a
 screening's row operations by a Candidate.  The oracle builds the
 hyperplane normal, the rational gap to the perpendicular foot and solves
 for its sublattice coordinates from the row coordinates; both must round
-to the same integers, ties included.  The pass rounds a ratio of at most
+to the same integers, ties included.  The kernel returns only the
+nonzero coefficients, as (c, t) steps in row order; dense() spreads them
+over the other rows for the oracles.  The pass rounds a ratio of at most
 1/2 in magnitude to 0 without dividing, and scores a shear before it
 applies one: both shortcuts must agree with the long way exactly.
 """
@@ -13,7 +15,7 @@ applies one: both shortcuts must agree with the long way exactly.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
@@ -21,6 +23,8 @@ from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate, _round_ratio
 from cubify.hyperplanar import _shear_coeffs, _sheared_r
+
+from _helpers import dense
 
 SMALL = st.integers(-20, 20)
 BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
@@ -74,7 +78,8 @@ def test_kernel_matches_geometric_oracle(rows, data):
     # the candidate's row, taken in screening order
     arow = [cand.arow[t] for t in rest + [i]]
     assert arow == adj[m]
-    assert _shear_coeffs(arow, m) == oracle(state.rows[m], state.rows[:m])
+    assert dense(_shear_coeffs(arow, m), n, m) == oracle(state.rows[m],
+                                                         state.rows[:m])
 
 
 @settings(max_examples=100, deadline=None)
@@ -82,8 +87,8 @@ def test_kernel_matches_geometric_oracle(rows, data):
 def test_kernel_reads_a_row_in_place(rows, data):
     # the pass without sublattice reduction shears row i where it stands
     i = data.draw(st.integers(0, len(rows) - 1), label="isolated")
-    coeffs = _shear_coeffs(_adjugate(metric_tensor(rows))[i], i)
-    assert coeffs == oracle(rows[i], rows[:i] + rows[i + 1:])
+    steps = _shear_coeffs(_adjugate(metric_tensor(rows))[i], i)
+    assert dense(steps, len(rows), i) == oracle(rows[i], rows[:i] + rows[i + 1:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,11 +112,13 @@ def test_exact_half_ties_go_to_the_even_neighbour(odd, expected):
     # sublattice rows 2·e_k: G_sub = 4I and g_x = 2·odd, so each
     # coefficient is -odd/2, an exact tie
     rows = [[2, 0, 0], [0, 2, 0], [odd, odd, 1]]
-    assert _shear_coeffs(_adjugate(metric_tensor(rows))[2], 2) == [expected, expected]
+    steps = _shear_coeffs(_adjugate(metric_tensor(rows))[2], 2)
+    assert dense(steps, 3, 2) == [expected, expected]
     assert oracle(rows[2], rows[:2]) == [expected, expected]
     # the same tie with the isolated row first
     rows = rows[2:] + rows[:2]
-    assert _shear_coeffs(_adjugate(metric_tensor(rows))[0], 0) == [expected, expected]
+    steps = _shear_coeffs(_adjugate(metric_tensor(rows))[0], 0)
+    assert dense(steps, 3, 0) == [expected, expected]
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,7 +140,7 @@ def test_constructed_ties_under_unimodular_mixing(n, data):
     isolated = [data.draw(odd, label="x") * scale for _ in range(m)] + [1]
     adj = _adjugate(metric_tensor(sub + [isolated]))
     assert adj[m][m] > 0
-    assert _shear_coeffs(adj[m], m) == oracle(isolated, sub)
+    assert dense(_shear_coeffs(adj[m], m), n, m) == oracle(isolated, sub)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,18 +159,19 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     zeros = data.draw(st.booleans(), label="all zero")
     coeffs = [0] * m if zeros else data.draw(
         st.lists(coeff, min_size=m, max_size=m), label="coeffs")
+    steps = [(c, t) for c, t in zip(coeffs, rest) if c]
     state = BasisState(rows)
     before = [row[:] for row in state.gram]
-    in_place = _sheared_r(state.gram, state.r, i, coeffs, rest)
+    in_place = _sheared_r(state.gram, state.r, i, steps)
     assert state.gram == before
     ordered = state.copy()
     ordered.permute(rest + [i])
-    assert _sheared_r(ordered.gram, ordered.r, m, coeffs, range(m)) == in_place
+    assert _sheared_r(ordered.gram, ordered.r, m,
+                      [(c, t) for c, t in zip(coeffs, range(m)) if c]) == in_place
     state.adjugate()
     cand = Candidate(state, i, state.r)
-    for c, t in zip(coeffs, rest):
-        if c:
-            cand.replace(i, c, t)
+    for c, t in steps:
+        cand.replace(i, c, t)
     assert cand.r == in_place
     if not any(coeffs):
         assert in_place == state.r
@@ -171,8 +179,9 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
 
 @st.composite
 def adjugate_rows(draw):
-    # row i's diagonal entry d > 0; the other entries cluster around the
-    # ties ±d/2, where rounding changes, and reach far past them
+    # row i's diagonal entry d > 0, odd or even; the other entries cluster
+    # around the ties ±d/2, where rounding changes (|a| = d >> 1 rounds to
+    # 0 and (d >> 1) + 1 does not), and reach far past them
     n = draw(st.integers(2, 8))
     scale = draw(st.sampled_from((1, 10 ** 100)))
     d = draw(st.integers(1, 40)) * scale + draw(st.integers(0, 1))
@@ -189,11 +198,17 @@ def adjugate_rows(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=adjugate_rows())
+@example(case=([1, 0, 1, -1], 0))
+@example(case=([4, 2, -3, -2, 3], 0))
+@example(case=([2, -3, 5, 3, -2], 2))
+@example(case=([2 * 10 ** 100 + 1, 10 ** 100, -10 ** 100 - 1], 0))
 def test_zero_shortcut_rounds_like_round_ratio(case):
+    # the steps are the nonzero roundings, in row order
     arow, i = case
     d = arow[i]
-    expected = [_round_ratio(a, d) for t, a in enumerate(arow) if t != i]
-    assert _shear_coeffs(arow, i) == expected
+    assert _shear_coeffs(arow, i) == [
+        (_round_ratio(a, d), t) for t, a in enumerate(arow)
+        if t != i and _round_ratio(a, d)]
 
 
 @pytest.mark.parametrize("a, d", [
@@ -204,5 +219,5 @@ def test_zero_shortcut_rounds_like_round_ratio(case):
     (10 ** 100 + 1, 2 * 10 ** 100), (-10 ** 100 - 1, 2 * 10 ** 100),
 ])
 def test_zero_shortcut_at_the_ties(a, d):
-    assert _shear_coeffs([d, a], 0) == [_round_ratio(a, d)]
-    assert _shear_coeffs([a, d], 1) == [_round_ratio(a, d)]
+    assert dense(_shear_coeffs([d, a], 0), 2, 0) == [_round_ratio(a, d)]
+    assert dense(_shear_coeffs([a, d], 1), 2, 1) == [_round_ratio(a, d)]

@@ -30,14 +30,15 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cubify import GeneratorSpec, Variant, det, generate
+from cubify import GeneratorSpec, Variant, cubify, det, generate
 from cubify import _state, directional, hyperplanar
 from cubify._state import BasisState, Candidate, _reordered
+from cubify.cli import load_matrix
 from cubify.directional import _lagrange, _simplify, _step_off_pairs
 from cubify.exact import _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
-from _helpers import (division_reduced, off_pairs, reference_lagrange,
+from _helpers import (DATA, division_reduced, off_pairs, reference_lagrange,
                       reference_simplify)
 from test_bit_identity import _het20_permuted
 
@@ -699,6 +700,25 @@ def test_the_pre_pass_makes_a_candidate_only_for_an_accepted_shear(
                  trace=accepted)
     assert len(made) == len(accepted) > 0
     assert len(screenings) > 4 * len(accepted)
+
+
+SCREENED = {
+    "full-12": (lambda: generate(GeneratorSpec("full", 12, (0, 100),
+                                               seed=1_000_000)), 62),
+    "het20": (lambda: load_matrix(DATA / "heterogeneous_20x20.txt"), 244),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCREENED))
+def test_cubify_screens_as_often_as_perfbench_counts(monkeypatch, name):
+    # perfbench's hyperplanar.screenings counts _shear_coeffs calls, one
+    # per screening; a refactor that changes how often cubify screens,
+    # under auto options, must change these counts on purpose
+    load, expected = SCREENED[name]
+    b = load()
+    screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
+    cubify(b)
+    assert len(screenings) == expected
 
 
 @pytest.mark.parametrize("variant", list(Variant))
