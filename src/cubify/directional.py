@@ -19,12 +19,11 @@ earlier in the sweep on the same state.  After a step every row visits
 every pair again.  Division moves no Gram row while it sweeps: it places
 rows through a position map and reorders them once per call (see
 _lagrange).  Handed the few pairs that are off the fixpoint, as a
-hyperplanar screening does, division takes the same steps without
-sweeping: it steps from one off pair to the next and tests only the
-replaced row's pairs again.  Simplification scores each unordered pair
-at most once between two accepted changes: on an unchanged state the
-visit (j, i) would pick the same divisor and remainder as (i, j) and
-reach the same verdict.
+hyperplanar screening does, division skips each row visit that could
+only test, and after a step tests the replaced row's pairs again.
+Simplification scores each unordered pair at most once between two
+accepted changes: on an unchanged state the visit (j, i) would pick the
+same divisor and remainder as (i, j) and reach the same verdict.
 Both placements of a pair's remainder are scored together
 (BasisState.pair_r), from the scalar products they share and from row
 weights sum |g_t| that the sweep reads once per unchanged state: at its
@@ -72,24 +71,35 @@ def _lagrange(state, variant, order=None, off=None):
     swept in place as p and ends holding their order, and no row moves.
 
     off, when given, is the set of pairs (x, y), x < y, of the rows in p
-    that are off the fixpoint, and is consumed.  With fewer pairs than
-    p has rows, the sweeps' steps are taken without sweeping
-    (_step_off_pairs): an exact off means that every test the sweeps make
-    outside it would pass.  With more, most tests step and the sweeps are
-    cheaper than a search over off per step.  The hyperplanar pass tracks
-    off for its screenings; a full-state division passes none.
+    that are off the fixpoint, and is only read.  With fewer pairs than p
+    has rows, the sweeps map each row to its off partners, skip the visit
+    of a row with none, which would only test, and stop once none has
+    one; each step tests the replaced row's pairs again to keep the map
+    exact.  With more, the sweeps run as without off.  The hyperplanar
+    pass tracks off for its screenings; a full-state division passes none.
     """
     g = state.gram
     p = list(range(len(g))) if order is None else order
     m = len(p)
-    changed = True
+    # each row's off partners, when they are few
+    partners = None
     if off is not None and len(off) < m:
-        _step_off_pairs(state, variant, p, off)
-        changed = False
+        partners = {}
+        for x, y in off:
+            partners.setdefault(x, set()).add(y)
+            partners.setdefault(y, set()).add(x)
+    changed = True
     while changed:
         changed = False
         for i in range(m):
             a = p[i]
+            if partners is not None and a not in partners:
+                if partners:
+                    # every test of row a's visit would pass
+                    continue
+                # no pair is off the fixpoint: no later visit steps
+                changed = False
+                break
             ga = g[a]
             da = ga[a]
             # until the sweep's first step, (i, j) with j < i was tested
@@ -119,85 +129,26 @@ def _lagrange(state, variant, order=None, off=None):
                     # divisor moves to the remainder's
                     p[i], p[j] = p[j], p[i]
                 changed = True
+                if partners is not None:
+                    # only row v's pairs changed: test them again
+                    for t in partners.pop(v, ()):
+                        partners[t].discard(v)
+                        if not partners[t]:
+                            del partners[t]
+                    gv = g[v]
+                    dv = gv[v]
+                    for t in p:
+                        if t != v:
+                            dt = g[t][t]
+                            if 2 * abs(gv[t]) > (dv if dv < dt else dt):
+                                partners.setdefault(v, set()).add(t)
+                                partners.setdefault(t, set()).add(v)
                 # the step rebuilt row v and may have moved the rows in p
                 a = p[i]
                 ga = g[a]
                 da = ga[a]
     if order is None and p != list(range(m)):
         state.permute(p)
-
-
-def _step_off_pairs(state, variant, p, off):
-    """The steps of _lagrange's sweeps over p, found from off alone.
-
-    off holds the pairs (x, y), x < y, of the rows in p that are off the
-    fixpoint, and every other pair is at it; it is consumed.  The sweeps
-    visit (i, j) in order of i·m + j, positions in p: a sweep before its
-    first step only j > i, a row visit keeps the range it started with,
-    after a step at (i, j) the visit goes on at (i, j + 1), and a sweep
-    that stepped is followed by another.  Rows move only at steps, so
-    the next step is at the first visit, from the cursor on, of a pair
-    in off.  A pair at positions lo < hi is visited at (lo, hi), else at
-    (hi, lo), else at (lo, hi) of the next sweep.  Before the first step
-    the cursor is 0; after it, every later row visit covers every j, and
-    a row visit that began before the sweep's first step has j > i, so
-    (hi, lo) with hi = i lies behind the cursor: the cursor alone says
-    which visits are left.  A step changes only the replaced row's
-    pairs, and only they are tested again, m - 1 tests per step.
-    """
-    g = state.gram
-    m = len(p)
-    sweep = m * m
-    pos = dict(zip(p, range(m)))
-    # the next visit i·m + j the sweeps would make
-    cursor = 0
-    while off:
-        # the first visit of an off pair; one in the next sweep is counted
-        # from sweep on, and when it steps that sweep is the current one
-        step = 2 * sweep
-        for x, y in off:
-            lo, hi = pos[x], pos[y]
-            if hi < lo:
-                lo, hi = hi, lo
-            at = lo * m + hi
-            if at < cursor:
-                at = hi * m + lo
-                if at < cursor:
-                    at = lo * m + hi + sweep
-            if at < step:
-                step = at
-        i, j = divmod(step % sweep, m)
-        a, b = p[i], p[j]
-        da, db = g[a][a], g[b][b]
-        # the shorter row divides; ties go to the lower position
-        u, v = (a, b) if da < db or (da == db and i < j) else (b, a)
-        k = _round_ratio(g[u][v], g[u][u])
-        dv = g[v][v]
-        state.replace(v, -k, u)
-        assert 0 < g[v][v] < dv
-        if variant is Variant.APPEND:
-            # drop both, append the remainder then the divisor
-            p.remove(u)
-            p.remove(v)
-            p.append(v)
-            p.append(u)
-            for t in range(min(i, j), m):
-                pos[p[t]] = t
-        elif g[v][v] <= g[u][u]:
-            # the remainder takes the divisor's position, the divisor
-            # moves to the remainder's
-            p[i], p[j] = b, a
-            pos[a], pos[b] = j, i
-        cursor = i * m + j + 1
-        # only row v's pairs changed
-        off = {q for q in off if v not in q}
-        gv = g[v]
-        dv = gv[v]
-        for t in p:
-            if t != v:
-                dt = g[t][t]
-                if 2 * abs(gv[t]) > (dv if dv < dt else dt):
-                    off.add((t, v) if t < v else (v, t))
 
 
 def _simplify(state, variant):

@@ -48,7 +48,7 @@ other rows have ended on a sweep that took no step, so every pair without
 the last row is at the fixpoint, and one scan of the last row's pairs
 gives it.  A rejected screening leaves the state, and off, as they were.
 A screening of row i hands the off pairs without row i to _lagrange,
-which, when they are few, steps from one to the next instead of sweeping.
+whose sweeps, when they are few, skip the rows with no off pair.
 With none, the sweeps would take no step: the screening makes no
 Candidate and no sweep, and scores in place like a screening without the
 reduction, with the others in norm order.

@@ -2,11 +2,11 @@
 
 The oracles are deliberately dumb enumerations, independent of the package's
 reduction code, so they can vouch for it.  reference_lagrange is _lagrange's
-sweep loop without its mirror-pair skip, the oracle for the steps _lagrange
-takes by sweeping, for those it takes from its off pairs without sweeping,
-and for the size rule that picks between the two.  reference_simplify is
-_simplify without its bound: every sweep after one that changed something
-runs to its end.  The package must take the same steps.
+sweep loop without its mirror-pair skip and its skip of rows with no off
+pair, the oracle for the steps _lagrange takes with off and without.
+reference_simplify is _simplify without its bound: every sweep after one
+that changed something runs to its end.  The package must take the same
+steps.
 """
 
 import itertools

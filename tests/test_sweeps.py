@@ -17,12 +17,11 @@ A simplification sweep also skips what the sweep before it settled on
 the state it left: it ends after the visit of that sweep's last accepted
 change.  _lagrange and _simplify must take the steps of reference_lagrange
 and reference_simplify in _helpers, on states far from their fixpoint.
-Handed the pairs that are off the fixpoint,
-_lagrange takes the same steps without sweeping: it jumps from one off
-pair to the one the sweeps would visit next, and tests only the replaced
-row's pairs again; the hyperplanar pass tracks those pairs and hands each
-screening its own.  The counter tests pin the work saved in operation
-counts, not in seconds.
+Handed the pairs that are off the fixpoint, _lagrange skips the visits
+of rows with none and tests the replaced row's pairs again after each
+step; the hyperplanar pass tracks those pairs and hands each screening
+its own.  The counter tests pin the work saved in operation counts, not
+in seconds.
 """
 
 import random
@@ -34,7 +33,7 @@ from cubify import GeneratorSpec, Variant, cubify, det, generate
 from cubify import _state, directional, hyperplanar
 from cubify._state import BasisState, Candidate, _reordered
 from cubify.cli import load_matrix
-from cubify.directional import _lagrange, _simplify, _step_off_pairs
+from cubify.directional import _lagrange, _simplify
 from cubify.exact import _round_ratio
 from cubify.hyperplanar import _hyperplanar
 
@@ -288,35 +287,56 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_full_state(rows, variant):
     assert _full(new)[1:] == _full(plain)[1:]
 
 
+def _few_off(rows, data):
+    """rows as drawn, or divided and moved off the fixpoint by a few drawn
+    steps, so that few pairs are off it."""
+    if not data.draw(st.booleans(), label="few off"):
+        return rows
+    n = len(rows)
+    state = BasisState(rows)
+    reference_lagrange(state, Variant.INSERT)
+    for _ in range(data.draw(st.integers(1, 3), label="steps")):
+        idx, src = data.draw(st.permutations(range(n)), label="rows")[:2]
+        state.replace(idx, data.draw(st.sampled_from((1, -1, 2, -2)),
+                                     label="k"), src)
+    return state.rows
+
+
+def _replayed(state, cand, order):
+    """What replaying cand by order leaves on a copy of state."""
+    copy = state.copy()
+    copy.adjugate()
+    cand.replay(copy, order)
+    return copy.trans, copy.gram, copy.r, copy.s, copy.adj
+
+
 @settings(max_examples=120, deadline=None)
 @given(rows=bases(st.integers(2, 8)), variant=st.sampled_from(Variant),
        data=st.data())
 def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
                                                              data):
     # as a screening does: reduce the other m = n - 1 rows in sweep order
-    # rest on an unpermuted candidate, then replay it with them first and
-    # row pos last; the plain loop runs on a candidate permuted so up front
+    # rest on an unpermuted candidate, without off and with their off
+    # pairs, then replay it with them first and row pos last; the plain
+    # loop runs on a candidate permuted so up front
     n = len(rows)
+    rows = _few_off(rows, data)
     pos = data.draw(st.integers(0, n - 1), label="pos")
     rest = data.draw(st.permutations([t for t in range(n) if t != pos]),
                      label="rest")
     state = BasisState(rows)
     state.adjugate()
-    new, plain = (LoggedCandidate(state, pos, state.r),
-                  LoggedCandidate(state, pos, state.r))
-    order = rest[:]
-    _lagrange(new, variant, order)
+    plain = LoggedCandidate(state, pos, state.r)
     plain.permute(rest + [pos])
     plain_lagrange(plain, n - 1, variant)
-    assert new.steps == plain.steps
-    assert _trial(new, order + [pos]) == _trial(plain)
-    replayed = []
-    for cand, by in ((new, order + [pos]), (plain, list(range(n)))):
-        copy = state.copy()
-        copy.adjugate()
-        cand.replay(copy, by)
-        replayed.append((copy.trans, copy.gram, copy.r, copy.s, copy.adj))
-    assert replayed[0] == replayed[1]
+    replayed = _replayed(state, plain, list(range(n)))
+    for with_off in (False, True):
+        new, order = LoggedCandidate(state, pos, state.r), rest[:]
+        off = off_pairs(new.gram, order) if with_off else None
+        _lagrange(new, variant, order, off=off)
+        assert new.steps == plain.steps
+        assert _trial(new, order + [pos]) == _trial(plain)
+        assert _replayed(state, new, order + [pos]) == replayed
 
 
 @settings(max_examples=120, deadline=None)
@@ -325,22 +345,27 @@ def test_lagrange_takes_the_plain_loops_steps_on_a_candidate(rows, variant,
 def test_a_swept_order_once_permuted_is_the_plain_loops_candidate(
         rows, variant, data):
     # any m rows but the carried one, swept in a drawn order on an
-    # unpermuted candidate, against the plain loop on a candidate
-    # permuted to that order up front
+    # unpermuted candidate, without off and with their off pairs, against
+    # the plain loop on a candidate permuted to that order up front
     n = len(rows)
+    rows = _few_off(rows, data)
     order = data.draw(st.permutations(range(n)), label="order")
     m = data.draw(st.integers(1, n - 1), label="m")
     state = BasisState(rows)
     state.adjugate()
-    new, plain = (Candidate(state, order[-1], state.r),
-                  PlainCandidate(state, order[-1], state.r))
-    swept = order[:m]
-    _lagrange(new, variant, swept)
-    assert new.log == [step for step in new.log if step[0] == "replace"]
-    assert sorted(swept) == sorted(order[:m])
+    plain = PlainCandidate(state, order[-1], state.r)
     plain.permute(order)
     plain_lagrange(plain, m, variant)
-    assert _trial(new, swept + order[m:]) == _trial(plain)
+    logs = []
+    for with_off in (False, True):
+        new, swept = Candidate(state, order[-1], state.r), order[:m]
+        off = off_pairs(new.gram, swept) if with_off else None
+        _lagrange(new, variant, swept, off=off)
+        assert new.log == [step for step in new.log if step[0] == "replace"]
+        assert sorted(swept) == sorted(order[:m])
+        assert _trial(new, swept + order[m:]) == _trial(plain)
+        logs.append(new.log)
+    assert logs[0] == logs[1]
 
 
 @settings(max_examples=120, deadline=None)
@@ -381,34 +406,22 @@ def test_lagrange_takes_the_reference_sweeps_steps(rows, variant, data):
     # every row, or a drawn subset in a drawn sweep order; the state as
     # drawn, or divided and moved off the fixpoint by a few drawn steps, so
     # that few pairs are off it.  _lagrange runs without off and with the
-    # off pairs of the swept rows, a fresh scan; with an order, the jumps
-    # from off pair to off pair also run on their own, whatever off's size
+    # off pairs of the swept rows, a fresh scan, fewer than the rows or not
     n = len(rows)
-    if data.draw(st.booleans(), label="few off"):
-        state = BasisState(rows)
-        reference_lagrange(state, Variant.INSERT)
-        for _ in range(data.draw(st.integers(1, 3), label="steps")):
-            idx, src = data.draw(st.permutations(range(n)), label="rows")[:2]
-            state.replace(idx, data.draw(st.sampled_from((1, -1, 2, -2)),
-                                         label="k"), src)
-        rows = state.rows
+    rows = _few_off(rows, data)
     ref = LoggedState(rows)
     assume(not division_reduced(ref.gram))
     order = None
     if data.draw(st.booleans(), label="with order"):
         order = data.draw(st.permutations(range(n)), label="order")
         order = order[:data.draw(st.integers(2, n), label="m")]
-    runs = [lambda s, p: _lagrange(s, variant, p),
-            lambda s, p: _lagrange(s, variant, p, off=off_pairs(s.gram, p))]
-    if order is not None:
-        runs.append(lambda s, p: _step_off_pairs(s, variant, p,
-                                                 off_pairs(s.gram, p)))
     swept = None if order is None else order[:]
     reference_lagrange(ref, variant, swept)
-    for run in runs:
+    for with_off in (False, True):
         new = LoggedState(rows)
         p = None if order is None else order[:]
-        run(new, p)
+        _lagrange(new, variant, p, off=off_pairs(new.gram, p) if with_off
+                  else None)
         assert new.calls == ref.calls
         assert (new.gram, new.trans) == (ref.gram, ref.trans)
         assert p == swept
@@ -594,16 +607,19 @@ def _final_sweep(visits):
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_a_division_from_off_pairs_tests_only_each_replaced_rows_pairs(
+def test_a_division_from_off_pairs_visits_only_rows_with_an_off_pair(
         monkeypatch, variant):
     # division-reduced full n = 12 draws moved off the fixpoint by three
-    # unit steps: handed the off pairs, _lagrange finds each step without
-    # a test and then tests the replaced row's pairs, n - 1 tests per step,
-    # where a sweep tests n·(n - 1)/2 pairs at least; handed no off pair,
-    # it tests nothing
+    # unit steps.  Handed the off pairs, _lagrange tests a pair only in
+    # the visit of a row that has an off pair, or in the n - 1 tests of
+    # the replaced row's pairs after a step; the visit that stepped may
+    # go on with the row now at its position.  Handed no off pair, it
+    # tests nothing.  Its steps are the reference sweeps'
     n = 12
     monkeypatch.setattr(_Tagged, "log", [])
     steps = 0
+    # fixpoint tests with off and without
+    tested = [0, 0]
     for seed in range(4):
         rng = random.Random(seed)
         state = BasisState(generate(GeneratorSpec("full", n, (0, 100),
@@ -614,27 +630,51 @@ def test_a_division_from_off_pairs_tests_only_each_replaced_rows_pairs(
             state.replace(idx, rng.choice((1, -1)), src)
         off = off_pairs(state.gram)
         assert 0 < len(off) < n
-        ref, swept = BasisState(state.rows), list(range(n))
+        ref, swept = LoggedState(state.rows), list(range(n))
         reference_lagrange(ref, variant, swept)
+        # the off pairs before each step and after the last
+        replay, offs = BasisState(state.rows), [off]
+        for _, idx, k, src in ref.calls:
+            replay.replace(idx, k, src)
+            offs.append(off_pairs(replay.gram))
         tagged = _Retagging(state.rows, _Tested)
         _Tagged.log = []
         _lagrange(tagged, variant, tagged.order, off=off)
+        assert len(tagged.replaces) == len(ref.calls) > 0
         starts = [reads for reads, _ in tagged.replaces]
-        assert starts and starts[0] == 0
-        for start, stop in zip(starts, starts[1:] + [len(_Tagged.log)]):
-            tests = _Tagged.log[start:stop]
-            assert len(tests) == n - 1
-            # one row against every other
-            assert len({a for a, _ in tests}) == 1
-            assert {a for a, _ in tests} | {b for _, b in tests} == set(
-                range(n))
+        orders = [order for _, order in tagged.replaces] + [tagged.order]
+        bounds = [0] + starts + [len(_Tagged.log)]
+        stepped = None
+        for s in range(len(bounds) - 1):
+            tests = _Tagged.log[bounds[s]:bounds[s + 1]]
+            if s:
+                # the replaced row against every other
+                again, tests = tests[:n - 1], tests[n - 1:]
+                v = ref.calls[s - 1][1]
+                assert {a for a, _ in again} == {v}
+                assert {b for _, b in again} | {v} == set(range(n))
+            # the row of each visit: a run of tests of one row
+            visits = [a for t, (a, _) in enumerate(tests)
+                      if t == 0 or tests[t - 1][0] != a]
+            offs_rows = {x for pair in offs[s] for x in pair}
+            for at, a in enumerate(visits):
+                assert a in offs_rows or (at == 0 and a == stepped)
+            if s < len(starts):
+                # the row now at the position of the visit that steps
+                i = orders[s].index(_Tagged.log[starts[s] - 1][0])
+                stepped = orders[s + 1][i]
         assert (tagged.gram, tagged.trans, tagged.order) == (
             ref.gram, ref.trans, swept)
         steps += len(starts)
+        tested[0] += len(_Tagged.log)
         _Tagged.log = []
         _lagrange(tagged, variant, tagged.order, off=set())
         assert _Tagged.log == [] and len(tagged.replaces) == len(starts)
-    assert steps > 4
+        # the same division without off
+        _lagrange(_Retagging(state.rows, _Tested), variant, list(range(n)))
+        tested[1] += len(_Tagged.log)
+    # the skipped visits save a quarter of the tests at least
+    assert steps > 4 and 4 * tested[0] < 3 * tested[1]
 
 
 def test_a_row_visit_begun_before_the_sweeps_first_step_keeps_its_range():
@@ -648,7 +688,7 @@ def test_a_row_visit_begun_before_the_sweeps_first_step_keeps_its_range():
     new, ref = _state_pair(rows)
     assert off_pairs(new.gram) == {(2, 3)}
     p, swept = list(range(4)), list(range(4))
-    _step_off_pairs(new, Variant.INSERT, p, off_pairs(new.gram))
+    _lagrange(new, Variant.INSERT, p, off=off_pairs(new.gram))
     reference_lagrange(ref, Variant.INSERT, swept)
     assert ref.calls[:3] == [("replace", 3, 1, 2), ("replace", 2, 2, 3),
                              ("replace", 1, 3, 3)]
