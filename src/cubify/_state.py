@@ -26,16 +26,21 @@ records its steps in log (None until the first call, so the directional
 steps before the first pass record nothing), and the next call applies
 the record to adj with _replay.  A screening sweeps the other rows in
 norm_order() on a Candidate, which reads its row of adj and logs its
-steps; only an accepted screening moves the state, by
-Candidate.replay(state, order).
+steps.  Only an accepted screening moves the state, and it moves adj
+too: in place by shear(idx, steps, new, order), which takes the sheared
+row's Gram row from its score, or by Candidate.replay(state, order)
+after a sweep.  A shear rows[idx] += sum c·rows[t] is one step and one
+log entry, however many rows it combines.
 
 gram and adj are symmetric, and a step moves each as m ← T·m·Tᵀ for an
-elementary T, in _add_row (replace) or _negate_row (negate).
+elementary T, in _add_row (replace) or _negate_row (negate); a shear
+writes the new row and column of gram (_set_row) and moves adj by the
+inverse, T⁻ᵀ·adj·T⁻¹, in one batched update (_shear_adj).
 """
 
 from __future__ import annotations
 
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, lt, sub
 
 from .exact import _adjugate, _gram, _matmul, _rhombicity, _trace
 
@@ -63,6 +68,13 @@ def _reordered(m, order):
     return [list(pick(row)) for row in pick(m)]
 
 
+def _set_row(m, idx, new):
+    """Row and column idx of the symmetric m set to new, in place."""
+    m[idx] = new
+    for row, x in zip(m, new):
+        row[idx] = x
+
+
 def _add_row(m, idx, k, src):
     """m ← T·m·Tᵀ for T = I + k·E[idx][src] (src != idx), in place, in O(N).
 
@@ -72,10 +84,40 @@ def _add_row(m, idx, k, src):
     new = _axpy(m[idx], k, m[src])
     # |x + k·y|² = (x·x + k·x·y) + k·(x·y + k·y·y)
     new[idx] += k * new[src]
-    m[idx] = new
-    for row, x in zip(m, new):
-        row[idx] = x
+    _set_row(m, idx, new)
     return new
+
+
+def _combine(x, m, steps):
+    """x + sum c·m[t] over steps, (c, t) pairs, as a new list (x itself
+    when steps is empty)."""
+    for c, t in steps:
+        x = _axpy(x, c, m[t])
+    return x
+
+
+def _to_last(m, idx):
+    """Row and column idx of a square m moved last, in place."""
+    m.append(m.pop(idx))
+    for row in m:
+        row.append(row.pop(idx))
+
+
+def _shear_adj(adj, idx, steps):
+    """adj ← T⁻ᵀ·adj·T⁻¹ for T = I + sum c·E[idx][t] over steps (t != idx),
+    in place.
+
+    The E[idx][t] commute (each product of two is zero), so
+    T⁻¹ = I - sum c·E[idx][t]: rows t -= c·row idx, then columns
+    t -= c·column idx of the result.  Row idx is unchanged by the first.
+    """
+    a = adj[idx]
+    for c, t in steps:
+        adj[t] = _axpy(adj[t], -c, a)
+    for row in adj:
+        x = row[idx]
+        for c, t in steps:
+            row[t] -= c * x
 
 
 def _negate_row(m, idx):
@@ -93,10 +135,12 @@ def _replay(log, adj, trans=None):
     starts from.  Unimodular steps leave det(G) unchanged, and a step with
     matrix T moves adj to adj(T·G·Tᵀ) = T⁻ᵀ·adj·T⁻¹.  For replace(idx, k,
     src), T = I + k·E[idx][src] and T⁻ᵀ = I - k·E[src][idx], which is
-    _add_row(adj, src, -k, idx); a negate is its own inverse.  permute
-    only composes a position map, pos[t] being the list row now at
-    position t; adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered
-    once, at the end.
+    _add_row(adj, src, -k, idx); a negate is its own inverse.
+    shear(idx, steps) is the replaces (idx, c, t) over steps at once, and
+    _shear_adj applies them to adj together.  permute only composes a
+    position map, pos[t] being the list row now at position t;
+    adj(P·G·Pᵀ) = P·adj(G)·Pᵀ, so adj and trans are reordered once, at
+    the end.
     """
     n = len(adj)
     pos = list(range(n))
@@ -108,6 +152,12 @@ def _replay(log, adj, trans=None):
             _add_row(adj, b, -k, a)
             if trans is not None:
                 trans[a] = _axpy(trans[a], k, trans[b])
+        elif op == "shear":
+            a = pos[step[1]]
+            steps = [(c, pos[t]) for c, t in step[2]]
+            _shear_adj(adj, a, steps)
+            if trans is not None:
+                trans[a] = _combine(trans[a], trans, steps)
         elif op == "negate":
             a = pos[step[1]]
             _negate_row(adj, a)
@@ -221,6 +271,32 @@ class BasisState:
         if self.log is not None:
             self.log.append(("permute", order))
 
+    def shear(self, idx, steps, new, order):
+        """rows[idx] += sum c·rows[t] over steps, (c, t) pairs with
+        t != idx, then permute(order), whose last entry is idx: an
+        accepted screening, applied in place.
+
+        new is the sheared row's Gram row (_sheared_r returns it), written
+        as row and column idx.  Unlike the other steps this one moves
+        adj, which must be current (log empty), and logs nothing.  When
+        the other rows keep their position order, row idx moves last by a
+        pop and an append; otherwise gram, adj and trans are reordered once.
+        """
+        assert self.log == []
+        assert order[-1] == idx
+        g, adj, trans = self.gram, self.adj, self.trans
+        _set_row(g, idx, new)
+        _shear_adj(adj, idx, steps)
+        trans[idx] = _combine(trans[idx], trans, steps)
+        if all(map(lt, order, order[1:-1])):
+            _to_last(g, idx)
+            _to_last(adj, idx)
+            trans.append(trans.pop(idx))
+        else:
+            g[:] = _reordered(g, order)
+            adj[:] = _reordered(adj, order)
+            trans[:] = [trans[t] for t in order]
+
     def norm_order(self):
         """Row indices by squared norm, ties in position order."""
         g = self.gram
@@ -242,6 +318,10 @@ class BasisState:
 class Candidate:
     """A trial run of a state's steps that carries one adjugate row.
 
+    The hyperplanar pass makes one only for a screening that sweeps the
+    other rows; a screening scored in place is applied by
+    BasisState.shear.
+
     A Candidate holds a copy of the state's gram, with the rows where the
     state has them, r (the state's rhombicity, which the pass hands it),
     pos (the row it carries) and arow, row pos of the state's adjugate
@@ -251,7 +331,8 @@ class Candidate:
     updates it at every replace from the Gram row before and after the
     step: r is what the screening scores.  A replace with src != pos
     moves arow only in entry src, by -k times entry idx (see _replay).
-    Only replay reorders a Candidate.
+    An accepted screening's shear of row pos is one more step (shear),
+    logged as one entry.  Only replay reorders a Candidate.
     """
 
     __slots__ = ("gram", "r", "pos", "arow", "log")
@@ -277,6 +358,21 @@ class Candidate:
         a = self.arow
         a[src] -= k * a[idx]
         self.log.append(("replace", idx, k, src))
+
+    def shear(self, steps, new, r):
+        """rows[pos] += sum c·rows[t] over steps, (c, t) pairs, as one
+        logged step, in O(N): the replaces (pos, c, t) taken at once.
+
+        new is the sheared row's Gram row and r the rhombicity it leaves,
+        both from _sheared_r; row and column pos take new.  arow moves
+        in entry t by -c times entry pos for each step, as under replace.
+        """
+        _set_row(self.gram, self.pos, new)
+        self.r = r
+        a = self.arow
+        for c, t in steps:
+            a[t] -= c * a[self.pos]
+        self.log.append(("shear", self.pos, steps))
 
     def replay(self, state, order):
         """Move state by this trial's steps, then by permute(order).

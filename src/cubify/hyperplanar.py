@@ -25,14 +25,19 @@ hyperplane's primitive normal from the same dual row.
 A screening scores its shear before applying it (_sheared_r) from its
 steps, the (c, t) of its nonzero coefficients: the sheared row's scalar
 products and norm, and so the rhombicity it would leave, come from the
-Gram rows they combine, and nothing is written.  With sublattice
+Gram rows they combine, and nothing is written.  The scored row is the
+sheared row's Gram row, so an accepted shear x + sum c·b_t is applied as
+one row operation, not as a replace per step.  With sublattice
 reduction the other rows are swept in BasisState.norm_order() on a
 Candidate (see _state.py), an unpermuted copy of the Gram matrix that
 carries x's row of the state's adjugate; without it a screening reads
 the state's Gram matrix and adjugate in place.  A list of the other rows
-is built only for a sweep or an acceptance.  Only an accepted screening
-applies its steps, to a Candidate, whose replay moves the state into
-screening order (the other rows, then x).
+is built only for a sweep or an acceptance.  An accepted screening
+scored in place is applied in place, by BasisState.shear, which also
+moves the state into screening order (the other rows, then x); one that
+swept takes its shear on the Candidate as one logged step, and the
+Candidate's replay moves the state.  So the pass makes a Candidate only
+for a sweep.
 
 A round screens every row, and the pass ends after a round in which
 every screening was rejected.  After an accepted screening the sheared
@@ -58,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._state import BasisState, Candidate, _axpy
+from ._state import BasisState, Candidate, _combine
 from .directional import Variant, _lagrange
 from .exact import Basis, _matmul, _primitive, _round_ratio
 
@@ -80,21 +85,23 @@ def _shear_coeffs(arow, i):
 
 
 def _sheared_r(gram, r, i, steps):
-    """The rhombicity left by rows[i] += c·rows[t] over steps, (c, t) pairs.
+    """The rhombicity left by rows[i] += c·rows[t] over steps, (c, t)
+    pairs, and the sheared row's Gram row.
 
-    Reads gram and changes nothing.  The sheared row's scalar products are
-    D = g_i + sum c·g_t, accumulated row by row with _axpy (C speed for
-    c = ±1), its squared norm is D_i + sum c·D_t, and r trades row i's
-    weight for the new row's (off-diagonal entries count twice).
+    Reads gram and changes nothing.  The sheared row's scalar products
+    with the old rows are D = g_i + sum c·g_t, accumulated row by row by
+    _combine (C speed for c = ±1); its squared norm D_i + sum c·D_t takes
+    index i, which makes D its row of the sheared Gram matrix, a new
+    list.  r trades row i's weight for the new row's (off-diagonal
+    entries count twice).  Without steps it returns r and g_i.
     """
+    gi = gram[i]
     if not steps:
-        return r
-    gi = dots = gram[i]
-    for c, t in steps:
-        dots = _axpy(dots, c, gram[t])
-    norm = dots[i] + sum(c * dots[t] for c, t in steps)
-    return (r - 2 * sum(map(abs, gi)) + gi[i]
-            + 2 * (sum(map(abs, dots)) - abs(dots[i])) + norm)
+        return r, gi
+    new = _combine(gi, gram, steps)
+    new[i] += sum(c * new[t] for c, t in steps)
+    return (r - 2 * sum(map(abs, gi)) + gi[i] + 2 * sum(map(abs, new))
+            - new[i]), new
 
 
 @dataclass
@@ -113,7 +120,9 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
     moves it in place, so the state's stored adjugate ends the pass as
     that of its final gram.  It reads the state's r at its start; r is a
     local that each accepted screening's score replaces, checked against
-    gram once, at the end.  With sublattice reduction it reads
+    gram once, at the end.  An accepted screening moves the state once:
+    in place (BasisState.shear) when it was scored in place, else by its
+    Candidate's replay.  With sublattice reduction it reads
     norm_order() at its start and after each accepted screening (a
     rejected one leaves gram as it was), and a screening sweeps the other
     rows only when one of their pairs is off the division fixpoint.
@@ -143,22 +152,20 @@ def _hyperplanar(state, lagrange_variant=Variant.INSERT,
             gram, arow, r = cand.gram, cand.arow, cand.r
         else:
             # score the shear of row i where it stands: no pair of the
-            # others steps, or none is swept; only an accepted screening
-            # makes a candidate
+            # others steps, or none is swept; an accepted screening is
+            # applied where it stands too
             cand = None
             gram, arow, r = state.gram, adj[i], current
         steps = _shear_coeffs(arow, i)
-        r = _sheared_r(gram, r, i, steps)
+        r, new = _sheared_r(gram, r, i, steps)
         if r < current:
             before = tuple(state.row(i)) if trace is not None else None
-            if cand is None:
-                cand = Candidate(state, i, current)
-                rest = [t for t in order if t != i]
-            for c, t in steps:
-                cand.replace(i, c, t)
-            assert cand.r == r
             # the screening order: the other rows, then row i
-            cand.replay(state, rest + [i])
+            if cand is None:
+                state.shear(i, steps, new, [t for t in order if t != i] + [i])
+            else:
+                cand.shear(steps, new, r)
+                cand.replay(state, rest + [i])
             current = r
             if trace is not None:
                 # the last dual row is orthogonal to every row but the last

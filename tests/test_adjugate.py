@@ -11,7 +11,11 @@ The hyperplanar pass holds adj = det(G)·G⁻¹ of the state's metric tensor.
 A Candidate made from the state carries a single row of the state's
 adjugate through its steps and must follow the state step for step;
 replaying it with an order must move the state and its adjugate exactly,
-so that the adjugate equals a fresh one and gram·adj == det(G)·I.
+so that the adjugate equals a fresh one and gram·adj == det(G)·I.  A
+shear rows[i] += sum c·rows[t] moves the adjugate in one batched update;
+it must equal a fresh adjugate and the replaces one by one, and applied
+in place by BasisState.shear, which refuses an adjugate that is not
+current, it must leave the state exact with the sheared row last.
 """
 
 import pytest
@@ -19,21 +23,26 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cubify import Variant, det, metric_tensor, norm_sum, rhombicity
 from cubify import hyperplanar
-from cubify._state import BasisState, Candidate, _axpy, _reordered
+from cubify._state import (BasisState, Candidate, _axpy, _reordered, _replay,
+                           _shear_adj)
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate
-from cubify.hyperplanar import _hyperplanar
+from cubify.hyperplanar import _hyperplanar, _sheared_r
 
 SMALL = st.integers(-9, 9)
 BIG = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
                 st.integers(10 ** 100, 10 ** 110))
 ENTRIES = {"small": SMALL, "big": BIG}
+DIGITS_30 = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                      st.integers(10 ** 29, 10 ** 30 - 1))
+DIGITS_90 = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1, -1)),
+                      st.integers(10 ** 89, 10 ** 90 - 1))
 
 
 @st.composite
-def bases(draw, dims=st.integers(1, 8)):
+def bases(draw, dims=st.integers(1, 8), entries=ENTRIES):
     n = draw(dims)
-    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    entry = entries[draw(st.sampled_from(sorted(entries)))]
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                          min_size=n, max_size=n))
     assume(det(rows) != 0)
@@ -58,13 +67,39 @@ def _random_step(draw, state):
                   order if draw(st.booleans()) else None)
 
 
+def _shear_steps(draw, n, i):
+    """Sparse shear steps (c, t) of row i over some other rows, drawn."""
+    others = draw(st.lists(st.sampled_from([t for t in range(n) if t != i]),
+                           unique=True), label="sheared over")
+    coeff = st.one_of(st.sampled_from((1, -1)), st.integers(-5, 5), DIGITS_90)
+    return [(c, t) for c, t in zip(
+        draw(st.lists(coeff.filter(bool), min_size=len(others),
+                      max_size=len(others)), label="coefficients"), others)]
+
+
 def _candidate_step(draw, cand):
-    """One step a screening may take on cand, drawn; None if it takes none."""
+    """One step a screening may take on cand, drawn; None if it takes none.
+
+    A shear is the replaces (pos, c, t) of its steps, taken at once by a
+    Candidate and one by one by a state.
+    """
     n = len(cand.gram)
-    kind = draw(st.sampled_from(("replace", "lagrange")), label="kind")
+    kind = draw(st.sampled_from(("replace", "lagrange", "shear")),
+                label="kind")
+    if kind != "lagrange" and n < 2:
+        return None
+    if kind == "shear":
+        pos, steps = cand.pos, _shear_steps(draw, n, cand.pos)
+
+        def shear(s):
+            if isinstance(s, Candidate):
+                r, new = _sheared_r(s.gram, s.r, pos, steps)
+                s.shear(steps, new, r)
+            else:
+                for c, t in steps:
+                    s.replace(pos, c, t)
+        return shear
     if kind == "replace":
-        if n < 2:
-            return None
         # the one step a Candidate refuses is src == pos
         src = draw(st.sampled_from([t for t in range(n) if t != cand.pos]),
                    label="src")
@@ -224,11 +259,12 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
     # and scores the shear against a Gram matrix: the state's, or that of
     # a Candidate whose other rows it reduced.  The row must be the row of
     # a fresh adjugate of that Gram matrix, at the sheared position.  An
-    # accepted screening is replayed into the state, whose adjugate must
-    # then be exact
-    reads, scores, replays = [], [], []
-    shear, score, replay = (hyperplanar._shear_coeffs,
-                            hyperplanar._sheared_r, Candidate.replay)
+    # accepted screening moves the state, in place or by replaying its
+    # Candidate, and the state's adjugate must then be exact
+    reads, scores, accepted = [], [], []
+    shear, score, replay, in_place = (
+        hyperplanar._shear_coeffs, hyperplanar._sheared_r, Candidate.replay,
+        BasisState.shear)
     g = det(rows) ** 2
 
     def checked_shear(arow, i):
@@ -245,17 +281,23 @@ def test_pass_reads_an_exact_adjugate_at_every_screening(
     def checked_replay(self, state, order):
         replay(self, state, order)
         assert_exact(state, state.adj, g)
-        replays.append(self)
+        accepted.append(self)
+
+    def checked_in_place(state, *args):
+        in_place(state, *args)
+        assert_exact(state, state.adj, g)
+        accepted.append(state)
 
     state = BasisState(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyperplanar, "_shear_coeffs", checked_shear)
         mp.setattr(hyperplanar, "_sheared_r", checked_score)
         mp.setattr(Candidate, "replay", checked_replay)
+        mp.setattr(BasisState, "shear", checked_in_place)
         _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice)
     # each screening reads one row and scores once; one screening per row
     # after the last acceptance, at least
-    assert len(reads) == len(scores) >= len(rows) + len(replays)
+    assert len(reads) == len(scores) >= len(rows) + len(accepted)
     assert state.consistent()
 
 
@@ -307,6 +349,84 @@ def test_a_candidate_needs_a_current_adjugate():
         Candidate(state, 0, state.r)
     state.adjugate()
     assert Candidate(state, 0, state.r).arow == _adjugate(state.gram)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=bases(st.integers(2, 9), {"small": SMALL, "30-digit": DIGITS_30}),
+       data=st.data())
+def test_a_batched_shear_is_its_replaces(rows, data):
+    # rows[i] += sum c·rows[t] moves the adjugate by T⁻ᵀ·adj·T⁻¹ at once;
+    # it must equal a fresh adjugate of the sheared rows and the replay of
+    # the same replaces one by one, also through a position map.  Applied
+    # to a state in place, with row i moved last, the state must be the
+    # sheared rows in that order
+    n = len(rows)
+    i = data.draw(st.integers(0, n - 1), label="row")
+    steps = _shear_steps(data.draw, n, i)
+    state = BasisState(rows)
+    adj = state.adjugate()
+    sheared = [list(row) for row in rows]
+    for c, t in steps:
+        sheared[i] = [x + c * y for x, y in zip(sheared[i], rows[t])]
+    expected = _adjugate(metric_tensor(sheared))
+    batched = [row[:] for row in adj]
+    _shear_adj(batched, i, steps)
+    assert batched == expected
+    replaces = [("replace", i, c, t) for c, t in steps]
+    perm = data.draw(st.permutations(range(n)).filter(
+        lambda p: p != list(range(n))), label="permute")
+    # the same shear at the positions the permute gave the rows
+    at = perm.index
+    for order, log, one in (
+            (list(range(n)), replaces, [("shear", i, steps)]),
+            (perm,
+             [("permute", perm)] + [("replace", at(i), c, at(t))
+                                    for c, t in steps],
+             [("permute", perm), ("shear", at(i),
+                                  [(c, at(t)) for c, t in steps])])):
+        carried = []
+        for entries in (log, one):
+            moved = [row[:] for row in adj]
+            trans = [[int(a == b) for b in range(n)] for a in range(n)]
+            _replay(entries, moved, trans)
+            carried.append((moved, trans))
+        assert carried[0] == carried[1]
+        assert carried[1][0] == _reordered(expected, order)
+    r, new = _sheared_r(state.gram, state.r, i, steps)
+    others = [t for t in range(n) if t != i]
+    if data.draw(st.booleans(), label="others reordered"):
+        others = data.draw(st.permutations(others), label="others")
+    order = others + [i]
+    state.shear(i, steps, new, order)
+    assert state.adj is adj and adj == _adjugate(state.gram)
+    assert state.consistent()
+    assert state.rows == [sheared[t] for t in order]
+    assert state.r == r
+    assert state.log == []
+
+
+def test_an_in_place_shear_needs_a_current_adjugate():
+    # BasisState.shear moves adj itself, so it refuses a state whose
+    # adjugate is missing or lags logged steps, before it writes anything
+    state = BasisState([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    steps = [(1, 0), (-2, 1)]
+
+    def refused():
+        before = _snapshot(state), state.adj and [r[:] for r in state.adj]
+        _, new = _sheared_r(state.gram, state.r, 2, steps)
+        with pytest.raises(AssertionError):
+            state.shear(2, steps, new, [0, 1, 2])
+        assert (_snapshot(state), state.adj) == before
+
+    refused()
+    state.adjugate()
+    state.replace(1, 1, 0)
+    assert state.log == [("replace", 1, 1, 0)]
+    refused()
+    state.adjugate()
+    _, new = _sheared_r(state.gram, state.r, 2, steps)
+    state.shear(2, steps, new, [0, 1, 2])
+    assert state.consistent() and state.adj == _adjugate(state.gram)
 
 
 def test_reordered_takes_rows_and_columns_in_order():

@@ -12,7 +12,7 @@ from cubify import (Basis, Variant, directional_reduction, dot, hyperplane_norma
 from cubify._state import BasisState, Candidate
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate
-from cubify.hyperplanar import _hyperplanar, _shear_coeffs
+from cubify.hyperplanar import _hyperplanar, _shear_coeffs, _sheared_r
 
 from _helpers import dense, division_reduced, random_basis, random_unimodular
 from conftest import B_EXAMPLE
@@ -22,19 +22,17 @@ from test_sweeps import bases
 def shear(isolated, sub):
     """isolated sheared by the pass's kernel over the rows of sub.
 
-    The coefficients are read off a Candidate of sub + [isolated] made
-    from the basis's state and applied through replace, as the pass
-    does once it accepts a shear; the candidate is replayed and the
-    state's adjugate checked against a fresh one.
+    The coefficients are read off the adjugate of the basis's state,
+    scored by _sheared_r and applied in place by BasisState.shear, as
+    the pass applies an accepted shear without sublattice reduction; the
+    state's adjugate is checked against a fresh one.
     """
     state = BasisState(list(sub) + [isolated])
-    state.adjugate()
+    adj = state.adjugate()
     m = len(sub)
-    cand = Candidate(state, m, state.r)
-    for c, t in zip(dense(_shear_coeffs(cand.arow, m), m + 1, m), range(m)):
-        if c:
-            cand.replace(m, c, t)
-    cand.replay(state, list(range(m + 1)))
+    steps = _shear_coeffs(adj[m], m)
+    _, new = _sheared_r(state.gram, state.r, m, steps)
+    state.shear(m, steps, new, list(range(m + 1)))
     assert state.consistent()
     assert state.adj == _adjugate(state.gram)
     assert state.rows[:m] == [list(v) for v in sub]
@@ -195,22 +193,43 @@ def test_pass_without_sublattice_reduction():
         assert rhombicity(metric_tensor(out)) <= rhombicity(metric_tensor(scr))
 
 
+def _accepting(mp, check=None):
+    """A list that collects the state after each accepted screening.
+
+    An accepted screening moves the state once: in place by
+    BasisState.shear, or by Candidate.replay after a sublattice sweep.
+    check, when given, is called with the state right after each.
+    """
+    accepted = []
+    shear, replay = BasisState.shear, Candidate.replay
+
+    def sheared(state, *args):
+        shear(state, *args)
+        accepted.append(state)
+        if check is not None:
+            check(state)
+
+    def replayed(cand, state, order):
+        replay(cand, state, order)
+        accepted.append(state)
+        if check is not None:
+            check(state)
+
+    mp.setattr(BasisState, "shear", sheared)
+    mp.setattr(Candidate, "replay", replayed)
+    return accepted
+
+
 @pytest.mark.parametrize("reduce_sublattice", [True, False])
 @pytest.mark.parametrize("variant", list(Variant))
 def test_trace_normal_is_the_accepted_sublattice_normal(
         monkeypatch, variant, reduce_sublattice):
     # the record's normal comes from the pass's adjugate; it must be the
     # primitive normal of the rows the state keeps before the sheared one
-    # once the accepted candidate is replayed into it, which the pass
+    # once the accepted screening has moved the state (BasisState.shear
+    # in place, or Candidate.replay after a sweep), which the pass
     # finishes before it appends the record
-    replays = []
-    replay = Candidate.replay
-
-    def counting(self, state, order):
-        replays.append(self)
-        replay(self, state, order)
-
-    monkeypatch.setattr(Candidate, "replay", counting)
+    accepted = _accepting(monkeypatch)
 
     class Adopted(list):
         """Keeps the state's rows at each record the pass appends."""
@@ -232,11 +251,11 @@ def test_trace_normal_is_the_accepted_sublattice_normal(
                                     reduce_sublattice=reduce_sublattice)
         state = BasisState(b)
         trace = Adopted()
-        replays.clear()
+        accepted.clear()
         _hyperplanar(state, variant, reduce_sublattice=reduce_sublattice,
                      trace=trace)
         assert Basis(state.rows) == expected
-        assert len(trace) == len(replays) == len(trace.rows)
+        assert len(trace) == len(accepted) == len(trace.rows)
         for rec, rows in zip(trace, trace.rows):
             assert rec.normal == hyperplane_normal(rows[:-1])
             assert rec.after == tuple(rows[-1])
@@ -256,13 +275,11 @@ def test_an_accepted_screening_leaves_nothing_to_screen_again(
     # reduction every pair of the other rows is at its division fixpoint,
     # so their sweep would take no step either
     n = len(rows)
-    accepted = []
-    replay = Candidate.replay
 
-    def checked(self, state, order):
-        replay(self, state, order)
-        accepted.append(self)
+    def checked(state):
         g = state.gram
+        assert state.consistent()
+        assert state.adj == _adjugate(g)
         if reduce_sublattice:
             assert division_reduced([row[:-1] for row in g[:-1]])
             again = Candidate(state, n - 1, state.r)
@@ -272,8 +289,7 @@ def test_an_accepted_screening_leaves_nothing_to_screen_again(
         assert _shear_coeffs(state.adj[-1], n - 1) == []
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Candidate, "replay", checked)
+        accepted = _accepting(mp, checked)
         _hyperplanar(BasisState(rows), variant,
                      reduce_sublattice=reduce_sublattice)
     assume(accepted)
-

@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cubify import (Variant, det, dot, hyperplane_normal, metric_tensor,
                     nearest_int, solve_in_sublattice)
-from cubify._state import BasisState, Candidate
+from cubify._state import BasisState, Candidate, _reordered
 from cubify.directional import _lagrange
 from cubify.exact import _adjugate, _round_ratio
 from cubify.hyperplanar import _shear_coeffs, _sheared_r
@@ -146,9 +146,11 @@ def test_constructed_ties_under_unimodular_mixing(n, data):
 @settings(max_examples=150, deadline=None)
 @given(rows=bases(), data=st.data())
 def test_shear_score_is_the_r_the_replaces_reach(rows, data):
-    # _sheared_r scores rows[i] += sum c·rows[t] without applying it; a
-    # Candidate applying the same replaces must reach that r.  Scored in
-    # place (the pre-pass) and on a copy in screening order, row i last
+    # _sheared_r scores rows[i] += sum c·rows[t] without applying it and
+    # writes nothing; a Candidate applying the same replaces must reach
+    # that r, and its row i, norm included, must be the row returned.
+    # Scored in place (the pre-pass) and on a copy in screening order,
+    # row i last
     n = len(rows)
     m = n - 1
     i = data.draw(st.integers(0, m), label="isolated")
@@ -162,19 +164,22 @@ def test_shear_score_is_the_r_the_replaces_reach(rows, data):
     steps = [(c, t) for c, t in zip(coeffs, rest) if c]
     state = BasisState(rows)
     before = [row[:] for row in state.gram]
-    in_place = _sheared_r(state.gram, state.r, i, steps)
+    in_place, row = _sheared_r(state.gram, state.r, i, steps)
     assert state.gram == before
     ordered = state.copy()
     ordered.permute(rest + [i])
     assert _sheared_r(ordered.gram, ordered.r, m,
-                      [(c, t) for c, t in zip(coeffs, range(m)) if c]) == in_place
+                      [(c, t) for c, t in zip(coeffs, range(m)) if c]) == (
+        in_place, [row[t] for t in rest + [i]])
+    assert ordered.gram == _reordered(before, rest + [i])
     state.adjugate()
     cand = Candidate(state, i, state.r)
     for c, t in steps:
         cand.replace(i, c, t)
-    assert cand.r == in_place
+    assert (cand.r, cand.gram[i]) == (in_place, row)
+    assert state.gram == before
     if not any(coeffs):
-        assert in_place == state.r
+        assert (in_place, row) == (state.r, state.gram[i])
 
 
 @st.composite

@@ -9,9 +9,10 @@ and must leave the same state.  _simplify takes them at the same
 positions.  _lagrange places rows through a position map and moves them
 once, at the end, where the plain loop moves them at every step, so its
 steps are compared by the rows they combine.  _hyperplanar scores each
-shear before it applies it, makes a Candidate for a pre-pass screening
-only once it is accepted, and reorders a Candidate only once it is
-accepted; it must end where the screening loop it replaced ends.
+shear before it applies it, makes no Candidate for a pre-pass screening
+(an accepted one is applied in place), and reorders rows only once a
+screening is accepted; it must end where the screening loop it replaced
+ends.
 
 A simplification sweep also skips what the sweep before it settled on
 the state it left: it ends after the visit of that sweep's last accepted
@@ -724,21 +725,20 @@ def test_a_simplify_sweep_ends_after_the_last_sweeps_last_change(
 def test_the_pre_pass_makes_a_candidate_only_for_an_accepted_shear(
         monkeypatch):
     # het20 as perfbench feeds it, matrix 0: most pre-pass screenings are
-    # rejected, and a rejected one is scored on the state in place
+    # rejected, and each is scored on the state in place.  An accepted one
+    # is applied in place as well, by one BasisState.shear, so the
+    # pre-pass makes no Candidate at all; its other rows keep their
+    # position order, so the sheared row moves last without a reorder
     state = BasisState(_het20_permuted(0).rows)
     screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
-    made = []
-    init = Candidate.__init__
-
-    def counting(self, *args):
-        made.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(Candidate, "__init__", counting)
+    made = _counted(monkeypatch, Candidate, "__init__")
+    sheared = _counted(monkeypatch, BasisState, "shear")
+    reorders = _counted(monkeypatch, _state, "_reordered")
     accepted = []
     _hyperplanar(state, Variant.INSERT, reduce_sublattice=False,
                  trace=accepted)
-    assert len(made) == len(accepted) > 0
+    assert made == [] and reorders == []
+    assert len(sheared) == len(accepted) > 0
     assert len(screenings) > 4 * len(accepted)
 
 
@@ -764,17 +764,46 @@ def test_cubify_screens_as_often_as_perfbench_counts(monkeypatch, name):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_a_screening_reorders_rows_only_once_accepted(monkeypatch, variant):
     # a full n = 12 draw, dense-hyp's kind of input: most screenings are
-    # rejected and reorder nothing; an accepted one reorders its Gram
-    # copy once, and replaying it reorders the adjugate at most once
+    # rejected and reorder nothing.  An accepted one reorders the Gram
+    # matrix and the adjugate at most once each.  A swept Candidate
+    # reorders its Gram copy once, and replaying it the adjugate at most
+    # once.  In place (BasisState.shear) both are reordered once, or
+    # neither when the other rows keep their position order
     state = BasisState(generate(GeneratorSpec("full", 12, (0, 100), seed=1)))
     adj = state.adjugate()
     screenings = _counted(monkeypatch, hyperplanar, "_shear_coeffs")
     reorders = _counted(monkeypatch, _state, "_reordered")
+    shear, replay = BasisState.shear, Candidate.replay
+    # (how, reorders of a Gram matrix, of the adjugate, others kept order)
+    moves = []
+
+    def moving(how, move, order):
+        start = len(reorders)
+        move()
+        on_adj = sum(args[0] is adj for args in reorders[start:])
+        moves.append((how, len(reorders) - start - on_adj, on_adj,
+                      order[:-1] == sorted(order[:-1])))
+
+    def sheared(s, i, steps, new, order):
+        moving("in place", lambda: shear(s, i, steps, new, order), order)
+
+    def replayed(c, s, order):
+        moving("swept", lambda: replay(c, s, order), order)
+
+    monkeypatch.setattr(BasisState, "shear", sheared)
+    monkeypatch.setattr(Candidate, "replay", replayed)
     accepted = []
     _hyperplanar(state, variant, trace=accepted)
-    on_adj = [args for args in reorders if args[0] is adj]
-    assert len(reorders) - len(on_adj) == len(accepted) > 0
-    assert len(on_adj) <= len(accepted)
+    assert len(moves) == len(accepted) > 0
+    # every reorder belongs to an accepted screening
+    assert sum(on_gram + on_adj for _, on_gram, on_adj, _ in moves) == len(
+        reorders)
+    for how, on_gram, on_adj, kept in moves:
+        if how == "swept":
+            assert on_gram == 1 and on_adj <= 1
+        else:
+            assert on_gram == on_adj == (0 if kept else 1)
+    assert {how for how, *_ in moves} == {"in place", "swept"}
     assert len(screenings) > 2 * len(accepted)
 
 
@@ -788,7 +817,8 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
     # in place and rejected, and the pass ends.
     events = []
     screen = hyperplanar._shear_coeffs
-    init, replay = Candidate.__init__, Candidate.replay
+    init, replay, shear = (Candidate.__init__, Candidate.replay,
+                           BasisState.shear)
 
     def screening(arow, i):
         events.append(("screen", i))
@@ -804,12 +834,17 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
 
     def replayed(self, state, order):
         replay(self, state, order)
-        events.append(("accepted", off_pairs(state.gram)))
+        events.append(("accepted", off_pairs(state.gram), "swept"))
+
+    def sheared(state, *args):
+        shear(state, *args)
+        events.append(("accepted", off_pairs(state.gram), "in place"))
 
     monkeypatch.setattr(hyperplanar, "_shear_coeffs", screening)
     monkeypatch.setattr(hyperplanar, "_lagrange", sweeping)
     monkeypatch.setattr(Candidate, "__init__", made)
     monkeypatch.setattr(Candidate, "replay", replayed)
+    monkeypatch.setattr(BasisState, "shear", sheared)
     n = 12
     for seed in range(4):
         state = BasisState(generate(GeneratorSpec("full", n, (0, 100),
@@ -819,6 +854,10 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
     in_place = swept = again = 0
     for at, event in enumerate(events):
         if event[0] in ("pass", "accepted"):
+            if event[0] == "accepted":
+                # nothing between a screening and its acceptance: an
+                # accepted screening scored in place makes no Candidate
+                assert since == [] and event[2] == how
             off, since = event[1], []
             accepted = event[0] == "accepted"
         elif event[0] == "screen":
@@ -826,9 +865,11 @@ def test_a_screening_sweeps_only_where_a_pair_can_step(monkeypatch, variant):
             if all(i in pair for pair in off):
                 assert since == []
                 in_place += 1
+                how = "in place"
             else:
                 assert since == [("candidate",), ("sweep",)]
                 swept += 1
+                how = "swept"
             if accepted and i == n - 1:
                 assert all(i in pair for pair in off)
                 # rejected: no Candidate and no replay follow, the pass ends
